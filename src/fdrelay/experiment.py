@@ -33,15 +33,8 @@ from .outage import (
     outage_tzf,
     outage_tzf_asymptotic,
 )
-from .precoding import Scheme
-from .simkit import (
-    check_feasible,
-    estimate_outage,
-    params_at_alpha,
-    refine_alpha,
-    throughput,
-    ThroughputPoint,
-)
+from .precoding import Scheme, check_feasible
+from .simkit import estimate_outage, search_alpha
 from .specfun import (
     DEFAULT_QUADRATURE,
     integrate_semi_infinite,
@@ -265,7 +258,7 @@ def _asymptotic_outage(params: SystemParams, scheme: Scheme) -> float | None:
 
 def _is_feasible(params: SystemParams, scheme: Scheme) -> bool:
     try:
-        check_feasible(params, scheme)
+        check_feasible(scheme, params.m_r, params.m_t)
     except InfeasibleSchemeError:
         return False
     return True
@@ -336,8 +329,9 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Throughput versus harvesting split, with a per-scheme optimum summary.
 
     Each scheme gets one ``grid`` row per alpha point plus one ``summary``
-    row holding (alpha*, R(alpha*)) from golden-section refinement around
-    the best grid point; the half-duplex baseline is always appended.
+    row holding (alpha*, R(alpha*)), both from ``simkit.search_alpha`` (grid
+    plus golden-section refinement around the best grid point); the
+    half-duplex baseline is always appended.
     """
     if cfg.sweep_kind() != "alpha":
         raise ConfigError("throughput sweeps need an alpha sweep")
@@ -361,31 +355,16 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> SweepResult:
                 rows.append(dict(base, kind="grid", alpha=alpha, status="infeasible"))
             rows.append(dict(base, kind="summary", status="infeasible"))
             continue
-        n = cfg.trials_for(scheme)
-        best: ThroughputPoint | None = None
-        best_idx = 0
-        for i, alpha in enumerate(alphas):
-            p_alpha = params_at_alpha(cfg.params, alpha, cfg.threshold_mode)
-            est = estimate_outage(
-                p_alpha, scheme, n, cfg.seed, threads=cfg.threads, stream=i
-            )
-            r_alpha = throughput(p_alpha, scheme, est.p_hat)
-            rows.append(dict(
-                base, kind="grid", alpha=alpha, outage=est.p_hat,
-                std_err=est.std_err, throughput=r_alpha, status="ok",
-            ))
-            point = ThroughputPoint(alpha, est.p_hat, r_alpha, scheme)
-            if best is None or point.throughput > best.throughput:
-                best, best_idx = point, i
-        assert best is not None
-        step = alphas[1] - alphas[0] if len(alphas) > 1 else 0.05
-        lo = max(alphas[best_idx] - step, step / 2.0)
-        hi = min(alphas[best_idx] + step, 1.0 - step / 2.0)
-        opt = refine_alpha(
-            cfg.params, scheme, (lo, hi), n, cfg.seed,
+        found = search_alpha(
+            cfg.params, scheme, alphas, cfg.trials_for(scheme), cfg.seed,
             threshold_mode=cfg.threshold_mode, threads=cfg.threads,
-            stream_start=len(alphas), incumbent=best,
         )
+        for point in found.grid:
+            rows.append(dict(
+                base, kind="grid", alpha=point.alpha, outage=point.outage,
+                std_err=point.std_err, throughput=point.throughput, status="ok",
+            ))
+        opt = found.best
         rows.append(dict(
             base, kind="summary", alpha=opt.alpha, outage=opt.outage,
             throughput=opt.throughput, status="ok",

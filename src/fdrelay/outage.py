@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemParams
-from .errors import InfeasibleSchemeError, WrongCaseError
-from .precoding import Scheme
+from .errors import WrongCaseError
+from .precoding import Scheme, check_feasible
 from .specfun import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
@@ -120,8 +120,7 @@ def outage_tzf(q: OutageQuery, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> flo
                    x^(m_r-1) e^-x / Gamma(m_r) dx.
     """
     p = q.params
-    if p.m_t < 2:
-        raise InfeasibleSchemeError("transmit ZF needs m_t > 1")
+    check_feasible(Scheme.TZF, p.m_r, p.m_t)
     return _gamma_min_cdf(p.m_r, p.m_t - 1, q.lam, p.d2**p.tau / p.kappa, spec)
 
 
@@ -134,8 +133,7 @@ def outage_tzf_asymptotic(q: OutageQuery) -> float:
     (closed form, decay lam^(m_t-1)).
     """
     p = q.params
-    if p.m_t < 2:
-        raise InfeasibleSchemeError("transmit ZF needs m_t > 1")
+    check_feasible(Scheme.TZF, p.m_r, p.m_t)
     m_r, m_t = p.m_r, p.m_t
     lam = q.lam
     c = p.d2**p.tau / p.kappa
@@ -186,8 +184,7 @@ def outage_rzf(q: OutageQuery, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> flo
                                       Q(m_t, (d2^tau/kappa) lam/x) e^-x dx ].
     """
     p = q.params
-    if p.m_r < 2:
-        raise InfeasibleSchemeError("receive ZF needs m_r > 1")
+    check_feasible(Scheme.RZF, p.m_r, p.m_t)
     lam = q.lam
     c = p.d2**p.tau / p.kappa
     norm = math.exp(ln_gamma(p.m_r))
@@ -211,8 +208,7 @@ def outage_rzf_asymptotic(q: OutageQuery) -> float:
     contributions of the projected first hop and the harvested second hop.
     """
     p = q.params
-    if p.m_r < 2:
-        raise InfeasibleSchemeError("receive ZF needs m_r > 1")
+    check_feasible(Scheme.RZF, p.m_r, p.m_t)
     m_r, m_t = p.m_r, p.m_t
     lam = q.lam
     c = p.d2**p.tau / p.kappa
@@ -328,12 +324,8 @@ def diversity_order(scheme: Scheme, m_r: int, m_t: int) -> int:
     with harvested power) and the optimal scheme is characterized by
     simulation only.
     """
-    if scheme is Scheme.TZF:
-        if m_t < 2:
-            raise InfeasibleSchemeError("transmit ZF needs m_t > 1")
-        return min(m_r, m_t - 1)
-    if scheme is Scheme.RZF:
-        if m_r < 2:
-            raise InfeasibleSchemeError("receive ZF needs m_r > 1")
-        return min(m_r - 1, m_t)
-    raise ValueError(f"diversity order is not characterized for {scheme}")
+    orders = {Scheme.TZF: min(m_r, m_t - 1), Scheme.RZF: min(m_r - 1, m_t)}
+    if scheme not in orders:
+        raise ValueError(f"diversity order is not characterized for {scheme}")
+    check_feasible(scheme, m_r, m_t)
+    return orders[scheme]

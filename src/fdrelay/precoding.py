@@ -1,7 +1,14 @@
 """Receive combiner / transmit beamformer design for each relaying scheme.
 
-The closed-form schemes (MRC/MRT, transmit-ZF, receive-ZF) are one-liners on
-top of projections.  The optimal joint design maximizes the end-to-end SINR:
+Every design is a batched kernel (leading axis = independent realizations):
+``_beamformers_batch`` gives the closed-form MRC/MRT, transmit-ZF and
+receive-ZF pairs, ``_optimal_wt_batch`` runs the optimal search, and both
+are scored by the SINR kernel of :mod:`fdrelay.sinr`.  The Monte Carlo
+driver calls the kernels directly; ``mrc_mrt``, ``tzf``, ``rzf`` and
+``optimal`` are their n = 1 wrappers, which add the input checks.
+
+The closed-form schemes are matched filters, optionally projected off the
+loop direction.  The optimal joint design maximizes the end-to-end SINR:
 for a fixed transmit beamformer the best combiner is the solution of a
 generalized Rayleigh ratio (a rank-one-regularized matched filter), and the
 remaining search over the beamformer is parameterized by the post-combining
@@ -20,9 +27,6 @@ of the decreasing first hop with the nondecreasing second hop (the min of
 the two is maximized at that crossing or at an end of the range); every
 candidate is scored by its exactly achieved end-to-end SINR, so search
 imprecision can only cost optimality, never feasibility.
-
-All functions are pure; the batch engine is shared with the Monte Carlo
-driver (the single-realization API is the batch engine with n = 1).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import numpy as np
 
 from .channel import ChannelRealization, SystemParams
 from .errors import DegenerateChannelError, InfeasibleSchemeError
+from .sinr import _fd_hops_batch
 
 __all__ = [
     "Scheme",
@@ -59,6 +64,18 @@ class Scheme(enum.Enum):
     HALF_DUPLEX = "half_duplex"
 
 
+def check_feasible(scheme: Scheme, m_r: int, m_t: int) -> None:
+    """Reject antenna counts that cannot realize ``scheme``.
+
+    Nulling the loop costs one antenna on the side that does it: transmit
+    ZF needs m_t > 1 and receive ZF needs m_r > 1.
+    """
+    if scheme is Scheme.TZF and m_t < 2:
+        raise InfeasibleSchemeError("transmit ZF needs m_t > 1")
+    if scheme is Scheme.RZF and m_r < 2:
+        raise InfeasibleSchemeError("receive ZF needs m_r > 1")
+
+
 @dataclass(frozen=True)
 class BeamformingPair:
     """Unit-norm receive combiner (row) and transmit beamformer (column)."""
@@ -76,35 +93,38 @@ class BeamformingPair:
 
 @dataclass(frozen=True)
 class OptimalSearchSpec:
-    """Knobs for the optimal scheme's one-dimensional leakage search."""
+    """Effort of the optimal scheme's one-dimensional leakage search."""
 
     t_grid_points: int = 33
     refine_iters: int = 20
-    restarts: int = 100  # random restarts used by the independent ascent check
-    tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if min(self.t_grid_points, self.refine_iters, self.restarts) < 1:
+        if min(self.t_grid_points, self.refine_iters) < 1:
             raise ValueError("search sizes must be positive")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
 
 
 DEFAULT_SEARCH = OptimalSearchSpec()
 
 
-def _unit(vec: np.ndarray, what: str) -> np.ndarray:
-    norm = np.linalg.norm(vec)
-    if norm < _DEGENERATE_NORM:
-        raise DegenerateChannelError(f"{what} has numerically zero norm")
-    return vec / norm
+def _rows(ch: ChannelRealization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One realization as an n = 1 batch, after the zero-norm input checks."""
+    for name, vec in (("h_sr", ch.h_sr), ("h_rd", ch.h_rd)):
+        if np.linalg.norm(vec) < _DEGENERATE_NORM:
+            raise DegenerateChannelError(f"{name} has numerically zero norm")
+    return ch.h_sr[None, :], ch.h_rd[None, :], ch.h_rr[None, :, :]
+
+
+def _closed_form(ch: ChannelRealization, scheme: Scheme) -> BeamformingPair:
+    check_feasible(scheme, ch.m_r, ch.m_t)
+    wr, wt = _beamformers_batch(scheme, *_rows(ch))
+    if not (wr.any() and wt.any()):
+        raise DegenerateChannelError("zero-forcing projection has zero norm")
+    return BeamformingPair(wr[0], wt[0], scheme)
 
 
 def mrc_mrt(ch: ChannelRealization) -> BeamformingPair:
     """Match the combiner to the first hop and the beamformer to the second."""
-    w_r = _unit(np.conj(ch.h_sr), "h_sr")
-    w_t = _unit(np.conj(ch.h_rd), "h_rd")
-    return BeamformingPair(w_r, w_t, Scheme.MRC_MRT)
+    return _closed_form(ch, Scheme.MRC_MRT)
 
 
 def tzf(ch: ChannelRealization) -> BeamformingPair:
@@ -115,18 +135,7 @@ def tzf(ch: ChannelRealization) -> BeamformingPair:
     vanishes the zero-forcing constraint is vacuous and the beamformer falls
     back to matched transmission.
     """
-    if ch.m_t <= 1:
-        raise InfeasibleSchemeError("transmit ZF needs m_t > 1")
-    w_r = _unit(np.conj(ch.h_sr), "h_sr")
-    a = ch.h_rr.conj().T @ ch.h_sr  # effective loop direction on the transmit side
-    h = np.conj(ch.h_rd)
-    na2 = float(np.vdot(a, a).real)
-    scale = np.linalg.norm(ch.h_sr) * np.linalg.norm(ch.h_rr)
-    if np.sqrt(na2) <= _DEGENERATE_NORM * max(scale, 1.0):
-        w_t = _unit(h, "h_rd")
-    else:
-        w_t = _unit(h - a * (np.vdot(a, h) / na2), "projected h_rd")
-    return BeamformingPair(w_r, w_t, Scheme.TZF)
+    return _closed_form(ch, Scheme.TZF)
 
 
 def rzf(ch: ChannelRealization) -> BeamformingPair:
@@ -137,18 +146,7 @@ def rzf(ch: ChannelRealization) -> BeamformingPair:
     column conjugate-transposed into row form.  If the loop channel vanishes
     the combiner falls back to maximum ratio combining.
     """
-    if ch.m_r <= 1:
-        raise InfeasibleSchemeError("receive ZF needs m_r > 1")
-    w_t = _unit(np.conj(ch.h_rd), "h_rd")
-    v = ch.h_rr @ np.conj(ch.h_rd)  # loop interference direction at the combiner
-    nv2 = float(np.vdot(v, v).real)
-    scale = np.linalg.norm(ch.h_rd) * np.linalg.norm(ch.h_rr)
-    if np.sqrt(nv2) <= _DEGENERATE_NORM * max(scale, 1.0):
-        w_r = _unit(np.conj(ch.h_sr), "h_sr")
-    else:
-        u = ch.h_sr - v * (np.vdot(v, ch.h_sr) / nv2)
-        w_r = np.conj(_unit(u, "projected h_sr"))
-    return BeamformingPair(w_r, w_t, Scheme.RZF)
+    return _closed_form(ch, Scheme.RZF)
 
 
 def optimal(
@@ -163,20 +161,10 @@ def optimal(
     combiner.  The matched and zero-forcing beamformers are always included
     as candidates, so the achieved SINR dominates every closed-form scheme.
     """
-    if np.linalg.norm(ch.h_sr) < _DEGENERATE_NORM:
-        raise DegenerateChannelError("h_sr has numerically zero norm")
-    if np.linalg.norm(ch.h_rd) < _DEGENERATE_NORM:
-        raise DegenerateChannelError("h_rd has numerically zero norm")
-    wt, _ = _optimal_wt_batch(
-        params,
-        ch.h_sr[None, :],
-        ch.h_rd[None, :],
-        ch.h_rr[None, :, :],
-        spec,
-    )
-    w_t = wt[0]
-    w_r = _combiner_for_wt(params, ch.h_sr[None, :], ch.h_rr[None, :, :], wt)[0]
-    return BeamformingPair(w_r, w_t, Scheme.OPTIMAL)
+    hsr, hrd, hrr = _rows(ch)
+    wt, _ = _optimal_wt_batch(params, hsr, hrd, hrr, spec)
+    w_r = _combiner_for_wt(params, hsr, hrr, wt)[0]
+    return BeamformingPair(w_r, wt[0], Scheme.OPTIMAL)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +175,60 @@ def optimal(
 def _normalize_rows(w: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(w, axis=-1, keepdims=True)
     return w / np.where(norms > 0.0, norms, 1.0)
+
+
+def _loop_vanishes(d: np.ndarray, ref: np.ndarray, hrr: np.ndarray) -> np.ndarray:
+    """Rows whose loop direction ``d`` is zero up to rounding.
+
+    ``d`` is H_rr^H h_sr (transmit side) or H_rr h_rd^* (receive side) and
+    ``ref`` the link vector it was formed from.  The rule
+    ||d|| <= 1e-14 ||ref|| ||H_rr||_F is scale-invariant, so rescaling a
+    channel never turns rounding residue into a loop to null, and an
+    exactly zero loop always counts as vanished.
+    """
+    bound = (
+        _DEGENERATE_NORM
+        * np.linalg.norm(ref, axis=1)
+        * np.linalg.norm(hrr, axis=(1, 2))
+    )
+    return np.sum(np.abs(d) ** 2, axis=1) <= bound**2
+
+
+def _zero_force(x: np.ndarray, d: np.ndarray, vanished: np.ndarray) -> np.ndarray:
+    """Rows of ``x`` with their component along ``d`` removed.
+
+    ``vanished`` rows have no loop direction to null and keep ``x``, the
+    matched filter.
+    """
+    d2 = np.maximum(np.sum(np.abs(d) ** 2, axis=1), 1e-300)
+    proj = x - d * (np.einsum("ni,ni->n", np.conj(d), x) / d2)[:, None]
+    return np.where(vanished[:, None], x, proj)
+
+
+def _beamformers_batch(
+    scheme: Scheme, hsr: np.ndarray, hrd: np.ndarray, hrr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm combiner and beamformer rows of a closed-form scheme.
+
+    MRC/MRT matches both ends.  Transmit ZF keeps the matched combiner and
+    projects the matched beamformer off the effective loop direction
+    a = H_rr^H h_sr; receive ZF keeps the matched beamformer and projects
+    the combiner off the loop interference v = H_rr h_rd^*.  A zero input
+    or projection gives a zero row.
+    """
+    if scheme is Scheme.RZF:
+        h = np.conj(hrd)
+        v = np.einsum("nij,nj->ni", hrr, h)
+        u = _zero_force(hsr, v, _loop_vanishes(v, hrd, hrr))
+        return np.conj(_normalize_rows(u)), _normalize_rows(h)
+    wr = _normalize_rows(np.conj(hsr))
+    if scheme is Scheme.MRC_MRT:
+        return wr, _normalize_rows(np.conj(hrd))
+    if scheme is Scheme.TZF:
+        a = np.einsum("nij,ni->nj", np.conj(hrr), hsr)
+        h = np.conj(hrd)
+        return wr, _normalize_rows(_zero_force(h, a, _loop_vanishes(a, hsr, hrr)))
+    raise ValueError(f"{scheme} has no closed-form beamformers")
 
 
 def _combiner_for_wt(
@@ -217,29 +259,9 @@ def _hops_for_wt(
     wt: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First- and second-hop SINR achieved by ``wt`` with its optimal combiner."""
-    d1t = params.d1**params.tau
-    d2t = params.d2**params.tau
-    kps = params.kappa * params.p_s
-    s = np.sum(np.abs(hsr) ** 2, axis=1)
     wr = _combiner_for_wt(params, hsr, hrr, wt)
-    sig = params.p_s * np.abs(np.einsum("ni,ni->n", wr, hsr)) ** 2
-    v = np.einsum("nij,nj->ni", hrr, wt)
-    li = kps * s * np.abs(np.einsum("ni,ni->n", wr, v)) ** 2
-    first = sig / (li + d1t)
-    second = kps / (d1t * d2t) * s * np.abs(np.einsum("ni,ni->n", hrd, wt)) ** 2
+    first, second, _ = _fd_hops_batch(params, hsr, hrd, hrr, wr, wt)
     return first, second
-
-
-def _gamma_for_wt(
-    params: SystemParams,
-    hsr: np.ndarray,
-    hrd: np.ndarray,
-    hrr: np.ndarray,
-    wt: np.ndarray,
-) -> np.ndarray:
-    """End-to-end SINR achieved by ``wt`` with its optimal combiner."""
-    first, second = _hops_for_wt(params, hsr, hrd, hrr, wt)
-    return np.minimum(first, second)
 
 
 def _top_eig_rank_one(lam_mu: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -360,28 +382,23 @@ def _wt_at_leakage(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Candidate beamformer for each trial's leakage level ``t``.
 
-    ``t = 0`` is solved in closed form (the zero-forcing projection of the
-    matched direction); positive levels go through the dual root find,
-    warm-started at ``mu_init``.  Returns beamformers and multipliers.
+    ``t = 0`` is the transmit-ZF beamformer (the matched direction projected
+    off ``a_vec``); positive levels go through the dual root find,
+    warm-started at ``mu_init``, and need a loop direction that does not
+    vanish.  Returns beamformers and multipliers.
     """
     d1t = params.d1**params.tau
     kt = params.kappa * params.p_s / d1t
     s_hsr = np.sum(np.abs(hsr) ** 2, axis=1)
-    na2 = np.sum(np.abs(a_vec) ** 2, axis=1)
 
     wt = np.array(h_dir, copy=True)
     mu_out = np.array(mu_init, copy=True)
     zero_rows = t <= 0.0
-    pos = ~zero_rows & (na2 > 0.0)
+    pos = ~zero_rows
 
     if zero_rows.any():
-        safe = np.maximum(na2, 1e-300)
-        proj = h_dir - a_vec * (
-            np.einsum("ni,ni->n", np.conj(a_vec), h_dir) / safe
-        )[:, None]
-        keep = np.linalg.norm(proj, axis=1) > _DEGENERATE_NORM
-        use = zero_rows & keep & (na2 > 0.0)
-        wt[use] = proj[use]
+        proj = _zero_force(h_dir, a_vec, _loop_vanishes(a_vec, hsr, hrr))
+        wt[zero_rows] = proj[zero_rows]
 
     if pos.any():
         m_mat = a_vec[pos, :, None] * np.conj(a_vec[pos, None, :]) - t[
@@ -417,10 +434,9 @@ def _optimal_wt_batch(
     prunings are exact for the indicator "SINR < threshold".
     """
     n, m_t = hrd.shape
-    h_dir = np.conj(hrd)
-
-    best_wt = _normalize_rows(h_dir)  # matched transmission
-    best_gamma = _gamma_for_wt(params, hsr, hrd, hrr, best_wt)
+    _, matched = _beamformers_batch(Scheme.MRC_MRT, hsr, hrd, hrr)
+    best_wt = matched.copy()
+    best_gamma = np.minimum(*_hops_for_wt(params, hsr, hrd, hrr, best_wt))
 
     if m_t == 1:
         return best_wt, best_gamma
@@ -442,32 +458,20 @@ def _optimal_wt_batch(
         active = np.flatnonzero((best_gamma < resolve_above) & (ceiling >= resolve_above))
     else:
         active = np.arange(n)
+
+    # Without a loop direction the matched combiner picks up no leakage, so
+    # the matched beamformer is already optimal: search only the others.
+    hsr_a, hrd_a, hrr_a = hsr[active], hrd[active], hrr[active]
+    a_vec = np.einsum("nij,ni->nj", np.conj(hrr_a), hsr_a)
+    keep = ~_loop_vanishes(a_vec, hsr_a, hrr_a)
+    active, hsr_a, hrd_a, hrr_a, a_vec = (
+        x[keep] for x in (active, hsr_a, hrd_a, hrr_a, a_vec)
+    )
     if active.size == 0:
         return best_wt, best_gamma
-
-    hsr_a, hrd_a, hrr_a = hsr[active], hrd[active], hrr[active]
-    hdir_a = h_dir[active]
-    a_vec = np.einsum("nij,ni->nj", np.conj(hrr_a), hsr_a)
+    hdir_a = np.conj(hrd_a)
     c_mat = np.einsum("nij,nik->njk", np.conj(hrr_a), hrr_a)
-    na2 = np.sum(np.abs(a_vec) ** 2, axis=1)
-    searchable = na2 > _DEGENERATE_NORM**2
     mu_state = np.zeros(active.size)
-
-    def consider(wt_sub: np.ndarray) -> np.ndarray:
-        gamma_sub = _gamma_for_wt(params, hsr_a, hrd_a, hrr_a, wt_sub)
-        better = gamma_sub > best_gamma[active]
-        rows = active[better]
-        best_wt[rows] = wt_sub[better]
-        best_gamma[rows] = gamma_sub[better]
-        return gamma_sub
-
-    if not searchable.any():
-        wt0, _ = _wt_at_leakage(
-            params, hsr_a, hrr_a, hdir_a, a_vec, c_mat,
-            np.zeros(active.size), mu_state,
-        )
-        consider(wt0)
-        return best_wt, best_gamma
 
     # Attainable leakage range: t in [0, t_max] with
     # t_max = a^H (C + I/(kt*S))^{-1} a, the peak of the leakage ratio.
@@ -475,7 +479,7 @@ def _optimal_wt_batch(
     shifted = c_mat + sigma[:, None, None] * np.eye(m_t)[None, :, :]
     solved = np.linalg.solve(shifted, a_vec[:, :, None])[:, :, 0]
     t_max = np.einsum("ni,ni->n", np.conj(a_vec), solved).real
-    t_max = np.where(searchable, np.maximum(t_max, 0.0), 0.0)
+    t_max = np.maximum(t_max, 0.0)
 
     state = {
         "hsr": hsr_a, "hrd": hrd_a, "hrr": hrr_a, "hdir": hdir_a,
@@ -528,7 +532,7 @@ def _optimal_wt_batch(
     # of the range, where the matched/zero-leakage candidates already win).
     # The second hop rises with allowed leakage only up to the matched
     # beamformer's own leakage level, so the bisection bracket stops there.
-    v_mrt = np.einsum("nij,nj->ni", state["hrr"], _normalize_rows(state["hdir"]))
+    v_mrt = np.einsum("nij,nj->ni", state["hrr"], matched[active])
     aw = np.abs(np.einsum("ni,ni->n", np.conj(state["hsr"]), v_mrt)) ** 2
     cw = np.sum(np.abs(v_mrt) ** 2, axis=1)
     kts = kt * s_all[active]
@@ -547,8 +551,7 @@ def _optimal_wt_batch(
     if not np.all(np.isfinite(best_gamma)):
         warnings.warn("optimal search produced non-finite candidates; "
                       "falling back to closed-form beamformers")
-        fallback = _normalize_rows(h_dir)
         bad = ~np.isfinite(best_gamma)
-        best_wt[bad] = fallback[bad]
-        best_gamma[bad] = _gamma_for_wt(params, hsr, hrd, hrr, best_wt)[bad]
+        best_wt[bad] = matched[bad]
+        best_gamma[bad] = np.minimum(*_hops_for_wt(params, hsr, hrd, hrr, best_wt))[bad]
     return best_wt, best_gamma

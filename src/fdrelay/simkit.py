@@ -7,9 +7,14 @@ never on the total trial count or on how chunks are distributed over
 workers, which makes estimates bit-reproducible under any parallelism.
 
 Every scheme is simulated through the general end-to-end SINR expression
-(beamform, combine, evaluate), vectorized over the chunk; the per-realization
-API in :mod:`fdrelay.precoding` / :mod:`fdrelay.sinr` computes identical
+(beamform, combine, evaluate), vectorized over the chunk by the batched
+kernels of :mod:`fdrelay.precoding` and :mod:`fdrelay.sinr`; the
+per-realization API there is their n = 1 wrapper, so it computes the same
 numbers one draw at a time.
+
+The harvesting split is optimized by one routine, ``search_alpha`` (grid
+plus golden-section refinement), which ``optimize_alpha`` and the
+throughput sweep of :mod:`fdrelay.experiment` both call.
 """
 
 from __future__ import annotations
@@ -22,19 +27,22 @@ from typing import Callable
 import numpy as np
 
 from .channel import SystemParams, _standard_complex_normal
-from .errors import InfeasibleSchemeError
 from .precoding import (
     OptimalSearchSpec,
     Scheme,
-    _normalize_rows,
+    _beamformers_batch,
     _optimal_wt_batch,
+    check_feasible,
 )
+from .sinr import _fd_hops_batch, _hd_snr_batch
 
 __all__ = [
     "OutageEstimate",
     "ThroughputPoint",
+    "AlphaSearch",
     "estimate_outage",
     "throughput",
+    "search_alpha",
     "optimize_alpha",
     "MC_SEARCH",
 ]
@@ -61,19 +69,26 @@ class OutageEstimate:
 
 @dataclass(frozen=True)
 class ThroughputPoint:
-    """Delay-constrained throughput theta*(1-outage)*r_c*(1-alpha) at one alpha."""
+    """Delay-constrained throughput theta*(1-outage)*r_c*(1-alpha) at one alpha.
+
+    ``std_err`` is the Monte Carlo standard error of ``outage``; it is None
+    when an oracle supplied the outage.
+    """
 
     alpha: float
     outage: float
     throughput: float
     scheme: Scheme
+    std_err: float | None = None
 
 
-def check_feasible(params: SystemParams, scheme: Scheme) -> None:
-    if scheme is Scheme.TZF and params.m_t < 2:
-        raise InfeasibleSchemeError("transmit ZF needs m_t > 1")
-    if scheme is Scheme.RZF and params.m_r < 2:
-        raise InfeasibleSchemeError("receive ZF needs m_r > 1")
+@dataclass(frozen=True)
+class AlphaSearch:
+    """Grid evaluations, the refinement bracket and the best point seen."""
+
+    grid: tuple[ThroughputPoint, ...]
+    bracket: tuple[float, float]
+    best: ThroughputPoint
 
 
 def _chunk_channels(
@@ -99,16 +114,8 @@ def _sinr_batch(
     search: OptimalSearchSpec,
 ) -> np.ndarray:
     """End-to-end SINR of each realization under the given scheme."""
-    d1t = params.d1**params.tau
-    d2t = params.d2**params.tau
-    kps = params.kappa * params.p_s
-    s = np.sum(np.abs(hsr) ** 2, axis=1)
-
     if scheme is Scheme.HALF_DUPLEX:
-        c1 = params.p_s / d1t
-        c3 = kps / (d1t * d2t)
-        return s * np.minimum(c1, 2.0 * c3 * np.sum(np.abs(hrd) ** 2, axis=1))
-
+        return _hd_snr_batch(params, hsr, hrd)
     if scheme is Scheme.OPTIMAL:
         # Searching only realizations whose outage indicator is undecided is
         # exact for Pr(gamma < gamma_th) and skips most of the work.
@@ -116,33 +123,8 @@ def _sinr_batch(
             params, hsr, hrd, hrr, search, resolve_above=params.gamma_th
         )
         return gamma
-
-    if scheme is Scheme.MRC_MRT:
-        wr = _normalize_rows(np.conj(hsr))
-        wt = _normalize_rows(np.conj(hrd))
-    elif scheme is Scheme.TZF:
-        wr = _normalize_rows(np.conj(hsr))
-        a = np.einsum("nij,ni->nj", np.conj(hrr), hsr)
-        na2 = np.maximum(np.sum(np.abs(a) ** 2, axis=1), 1e-300)
-        h = np.conj(hrd)
-        proj = h - a * (np.einsum("ni,ni->n", np.conj(a), h) / na2)[:, None]
-        vacuous = np.sum(np.abs(a) ** 2, axis=1) <= 1e-28
-        wt = _normalize_rows(np.where(vacuous[:, None], h, proj))
-    elif scheme is Scheme.RZF:
-        wt = _normalize_rows(np.conj(hrd))
-        v = np.einsum("nij,nj->ni", hrr, np.conj(hrd))
-        nv2 = np.maximum(np.sum(np.abs(v) ** 2, axis=1), 1e-300)
-        u = hsr - v * (np.einsum("ni,ni->n", np.conj(v), hsr) / nv2)[:, None]
-        vacuous = np.sum(np.abs(v) ** 2, axis=1) <= 1e-28
-        wr = np.conj(_normalize_rows(np.where(vacuous[:, None], hsr, u)))
-    else:
-        raise ValueError(f"unknown scheme {scheme}")
-
-    signal = params.p_s * np.abs(np.einsum("ni,ni->n", wr, hsr)) ** 2
-    li_amp = np.einsum("ni,nij,nj->n", wr, hrr, wt)
-    li = kps * s * np.abs(li_amp) ** 2
-    first = signal / (li + d1t)
-    second = kps / (d1t * d2t) * s * np.abs(np.einsum("ni,ni->n", hrd, wt)) ** 2
+    wr, wt = _beamformers_batch(scheme, hsr, hrd, hrr)
+    first, second, _ = _fd_hops_batch(params, hsr, hrd, hrr, wr, wt)
     return np.minimum(first, second)
 
 
@@ -168,7 +150,7 @@ def estimate_outage(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    check_feasible(params, scheme)
+    check_feasible(scheme, params.m_r, params.m_t)
     key = _stream_key(seed, stream)
     n_chunks = -(-n_trials // _CHUNK)
 
@@ -245,45 +227,51 @@ def _eval_point(
     outage_fn: OutageFn | None,
 ) -> ThroughputPoint:
     p_alpha = params_at_alpha(params, alpha, threshold_mode)
+    std_err = None
     if outage_fn is not None:
         outage = outage_fn(p_alpha, scheme)
     else:
-        outage = estimate_outage(
+        est = estimate_outage(
             p_alpha, scheme, n_trials, seed, threads=threads, search=search,
             stream=stream,
-        ).p_hat
+        )
+        outage, std_err = est.p_hat, est.std_err
     return ThroughputPoint(
         alpha=alpha,
         outage=outage,
         throughput=throughput(p_alpha, scheme, outage),
         scheme=scheme,
+        std_err=std_err,
     )
 
 
-def refine_alpha(
+def search_alpha(
     params: SystemParams,
     scheme: Scheme,
-    bracket: tuple[float, float],
+    alphas: list[float],
     n_trials: int,
     seed: int,
     *,
-    iters: int = 20,
+    refine_iters: int = 20,
     threshold_mode: str = "fixed",
     threads: int = 1,
     search: OptimalSearchSpec = MC_SEARCH,
     outage_fn: OutageFn | None = None,
-    stream_start: int = 0,
-    incumbent: ThroughputPoint | None = None,
-) -> ThroughputPoint:
-    """Golden-section refinement of the throughput over an alpha bracket.
+) -> AlphaSearch:
+    """Evaluate R(alpha) on ``alphas``, then refine around the best point.
 
-    Every probe uses a fresh estimate (new substream); the returned point is
-    the best one observed anywhere, which keeps the refinement robust to
-    Monte Carlo noise.
+    Grid point i uses substream i and the golden-section probes continue
+    from ``len(alphas)``, each with a fresh estimate; the returned best is
+    the best point observed anywhere, which keeps the refinement robust to
+    Monte Carlo noise.  Ties break toward smaller alpha.  The refinement
+    bracket is the best grid point's neighbours in the sorted grid; beyond
+    an end point it reaches halfway to the boundary (0 or 1).
     """
-    lo, hi = bracket
-    best = incumbent
-    stream = stream_start
+    if not alphas:
+        raise ValueError("alphas must not be empty")
+    check_feasible(scheme, params.m_r, params.m_t)
+    best: ThroughputPoint | None = None
+    stream = 0
 
     def probe(alpha: float) -> ThroughputPoint:
         nonlocal stream, best
@@ -296,11 +284,19 @@ def refine_alpha(
             best = point
         return point
 
+    grid = tuple(probe(alpha) for alpha in alphas)
+    assert best is not None
+    ordered = sorted(set(alphas))
+    k = ordered.index(best.alpha)
+    lo = ordered[k - 1] if k > 0 else ordered[0] / 2.0
+    hi = ordered[k + 1] if k + 1 < len(ordered) else (ordered[-1] + 1.0) / 2.0
+    bracket = (lo, hi)
+
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1 = probe(x1)
     f2 = probe(x2)
-    for _ in range(iters):
+    for _ in range(refine_iters):
         if f1.throughput < f2.throughput:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
@@ -309,8 +305,7 @@ def refine_alpha(
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
             f1 = probe(x1)
-    assert best is not None
-    return best
+    return AlphaSearch(grid=grid, bracket=bracket, best=best)
 
 
 def optimize_alpha(
@@ -328,31 +323,15 @@ def optimize_alpha(
 ) -> ThroughputPoint:
     """Maximize the delay-constrained throughput over the harvesting split.
 
-    Evaluates R(alpha) on a uniform open grid over (0, 1), then refines
-    around the best point with golden section using fresh estimates.  Ties
-    break toward smaller alpha.  ``outage_fn`` replaces the Monte Carlo
-    estimator when an analytic (or test) oracle is preferred.
+    Runs ``search_alpha`` on a uniform open grid of ``grid`` points over
+    (0, 1).  ``outage_fn`` replaces the Monte Carlo estimator when an
+    analytic (or test) oracle is preferred.
     """
     if grid < 8:
         raise ValueError("grid must have at least 8 points")
-    check_feasible(params, scheme)
     alphas = [(i + 1) / (grid + 1) for i in range(grid)]
-    best: ThroughputPoint | None = None
-    best_idx = 0
-    for i, alpha in enumerate(alphas):
-        point = _eval_point(
-            params, scheme, alpha, threshold_mode, n_trials, seed, i,
-            threads, search, outage_fn,
-        )
-        if _better(point, best):
-            best, best_idx = point, i
-    assert best is not None
-
-    step = 1.0 / (grid + 1)
-    lo = max(alphas[best_idx] - step, step / 2.0)
-    hi = min(alphas[best_idx] + step, 1.0 - step / 2.0)
-    return refine_alpha(
-        params, scheme, (lo, hi), n_trials, seed,
-        iters=refine_iters, threshold_mode=threshold_mode, threads=threads,
-        search=search, outage_fn=outage_fn, stream_start=grid, incumbent=best,
-    )
+    return search_alpha(
+        params, scheme, alphas, n_trials, seed,
+        refine_iters=refine_iters, threshold_mode=threshold_mode,
+        threads=threads, search=search, outage_fn=outage_fn,
+    ).best

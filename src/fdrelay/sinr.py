@@ -1,5 +1,11 @@
 """Exact end-to-end SINR evaluation for full-duplex and half-duplex relaying.
 
+Two batched kernels (leading axis = independent realizations) hold the
+formulas: ``_fd_hops_batch`` evaluates the general full-duplex hops for any
+combiner/beamformer rows, ``_hd_snr_batch`` the half-duplex baseline.  The
+Monte Carlo driver and the optimal search call them directly; ``e2e_sinr``
+and ``hd_snr`` are their n = 1 wrappers.
+
 The full-duplex expression is evaluated in its general form for every scheme;
 the scheme-specific algebraic reductions live only in the analytic outage
 module, so Monte Carlo results double as an independent check of those
@@ -9,11 +15,14 @@ reductions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channel import ChannelRealization, SystemParams
-from .precoding import BeamformingPair
+
+if TYPE_CHECKING:
+    from .precoding import BeamformingPair
 
 __all__ = ["SinrBreakdown", "e2e_sinr", "hd_snr"]
 
@@ -33,48 +42,37 @@ class SinrBreakdown:
     li_power: float
 
 
-def e2e_sinr(
-    ch: ChannelRealization, params: SystemParams, pair: BeamformingPair
-) -> SinrBreakdown:
-    """Full-duplex end-to-end SINR for one realization and beamforming pair.
+def _fd_hops_batch(
+    params: SystemParams,
+    hsr: np.ndarray,
+    hrd: np.ndarray,
+    hrr: np.ndarray,
+    wr: np.ndarray,
+    wt: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First hop, second hop and loop-interference power of each realization.
 
     First hop: p_s |w_r h_sr|^2 / (kappa p_s ||h_sr||^2 |w_r H_rr w_t|^2 + d1^tau),
     i.e. numerator and denominator both scaled by d1^tau relative to the
     physical signal/interference/noise powers.  Second hop:
     (kappa p_s / (d1^tau d2^tau)) ||h_sr||^2 |h_rd w_t|^2.
     """
-    if ch.h_sr.shape != (params.m_r,) or pair.w_r.shape != (params.m_r,):
-        raise ValueError("receive-side dimensions do not match params.m_r")
-    if ch.h_rd.shape != (params.m_t,) or pair.w_t.shape != (params.m_t,):
-        raise ValueError("transmit-side dimensions do not match params.m_t")
-    if ch.h_rr.shape != (params.m_r, params.m_t):
-        raise ValueError("loop-channel shape does not match antenna counts")
-
     d1t = params.d1**params.tau
     d2t = params.d2**params.tau
-    gain_sr = float(np.sum(np.abs(ch.h_sr) ** 2))
-
-    signal = params.p_s * abs(np.dot(pair.w_r, ch.h_sr)) ** 2
-    li_amp = np.dot(pair.w_r, ch.h_rr @ pair.w_t)
-    li_power = params.kappa * params.p_s * gain_sr * abs(li_amp) ** 2
-    first_hop = signal / (li_power + d1t)
-    second_hop = (
-        params.kappa
-        * params.p_s
-        / (d1t * d2t)
-        * gain_sr
-        * abs(np.dot(ch.h_rd, pair.w_t)) ** 2
-    )
-    return SinrBreakdown(
-        first_hop=float(first_hop),
-        second_hop=float(second_hop),
-        e2e=float(min(first_hop, second_hop)),
-        li_power=float(li_power),
-    )
+    kps = params.kappa * params.p_s
+    s = np.sum(np.abs(hsr) ** 2, axis=1)
+    sig = params.p_s * np.abs(np.einsum("ni,ni->n", wr, hsr)) ** 2
+    v = np.einsum("nij,nj->ni", hrr, wt)
+    li = kps * s * np.abs(np.einsum("ni,ni->n", wr, v)) ** 2
+    first = sig / (li + d1t)
+    second = kps / (d1t * d2t) * s * np.abs(np.einsum("ni,ni->n", hrd, wt)) ** 2
+    return first, second, li
 
 
-def hd_snr(ch: ChannelRealization, params: SystemParams) -> float:
-    """End-to-end SNR of the half-duplex baseline.
+def _hd_snr_batch(
+    params: SystemParams, hsr: np.ndarray, hrd: np.ndarray
+) -> np.ndarray:
+    """End-to-end SNR of the half-duplex baseline for each realization.
 
     Harvesting is unchanged, but the active time is split evenly between the
     two hops, so the relay spends its harvested energy over half the window
@@ -87,7 +85,33 @@ def hd_snr(ch: ChannelRealization, params: SystemParams) -> float:
     d1t = params.d1**params.tau
     d2t = params.d2**params.tau
     c1 = params.p_s / d1t
-    c3 = params.p_s * params.kappa / (d1t * d2t)
-    gain_sr = float(np.sum(np.abs(ch.h_sr) ** 2))
-    gain_rd = float(np.sum(np.abs(ch.h_rd) ** 2))
-    return gain_sr * min(c1, 2.0 * c3 * gain_rd)
+    c3 = params.kappa * params.p_s / (d1t * d2t)
+    s = np.sum(np.abs(hsr) ** 2, axis=1)
+    return s * np.minimum(c1, 2.0 * c3 * np.sum(np.abs(hrd) ** 2, axis=1))
+
+
+def e2e_sinr(
+    ch: ChannelRealization, params: SystemParams, pair: BeamformingPair
+) -> SinrBreakdown:
+    """Full-duplex end-to-end SINR for one realization and beamforming pair."""
+    if ch.h_sr.shape != (params.m_r,) or pair.w_r.shape != (params.m_r,):
+        raise ValueError("receive-side dimensions do not match params.m_r")
+    if ch.h_rd.shape != (params.m_t,) or pair.w_t.shape != (params.m_t,):
+        raise ValueError("transmit-side dimensions do not match params.m_t")
+    if ch.h_rr.shape != (params.m_r, params.m_t):
+        raise ValueError("loop-channel shape does not match antenna counts")
+    first, second, li = _fd_hops_batch(
+        params, ch.h_sr[None, :], ch.h_rd[None, :], ch.h_rr[None, :, :],
+        pair.w_r[None, :], pair.w_t[None, :],
+    )
+    return SinrBreakdown(
+        first_hop=float(first[0]),
+        second_hop=float(second[0]),
+        e2e=float(min(first[0], second[0])),
+        li_power=float(li[0]),
+    )
+
+
+def hd_snr(ch: ChannelRealization, params: SystemParams) -> float:
+    """End-to-end SNR of the half-duplex baseline for one realization."""
+    return float(_hd_snr_batch(params, ch.h_sr[None, :], ch.h_rd[None, :])[0])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize
 
-from fdrelay import ChannelRealization, SystemParams
+from fdrelay import ChannelRealization, Scheme, SystemParams
 
 
 def make_params(
@@ -34,6 +34,40 @@ def four_antenna_params(alpha: float = 0.5) -> SystemParams:
     return make_params(
         4, 4, 10.0, d1=2.0, d2=2.0, tau=3.1, sigma2_li=0.3, alpha=alpha,
     )
+
+
+def reference_sinr(ch: ChannelRealization, params: SystemParams, scheme: Scheme) -> float:
+    """Per-draw transcription of the paper's beamformers and SINR.
+
+    Reference for the batched kernels; shares no code with them.  Matched
+    filters are w_r = h_sr^H / ||h_sr|| and w_t = h_rd^H / ||h_rd||.  TZF
+    projects h_rd^H off a = H_rr^H h_sr, RZF projects h_sr off
+    v = H_rr h_rd^H (and conjugates it into a row).  The hops are
+    gamma_1 = p_s |w_r h_sr|^2 / (kappa p_s ||h_sr||^2 |w_r H_rr w_t|^2 + d1^tau)
+    and gamma_2 = kappa p_s ||h_sr||^2 |h_rd w_t|^2 / (d1^tau d2^tau); half
+    duplex is ||h_sr||^2 min(p_s / d1^tau, 2 kappa p_s ||h_rd||^2 / (d1^tau d2^tau)).
+    """
+    d1t = params.d1**params.tau
+    d2t = params.d2**params.tau
+    kps = params.kappa * params.p_s
+    s = np.linalg.norm(ch.h_sr) ** 2
+    if scheme is Scheme.HALF_DUPLEX:
+        return s * min(params.p_s / d1t, 2.0 * kps / (d1t * d2t) * np.linalg.norm(ch.h_rd) ** 2)
+    combiner = ch.h_sr
+    beam = ch.h_rd.conj()
+    if scheme is Scheme.TZF:
+        a = ch.h_rr.conj().T @ ch.h_sr
+        beam = beam - a * (np.vdot(a, beam) / np.vdot(a, a))
+    elif scheme is Scheme.RZF:
+        v = ch.h_rr @ ch.h_rd.conj()
+        combiner = combiner - v * (np.vdot(v, combiner) / np.vdot(v, v))
+    w_r = combiner.conj() / np.linalg.norm(combiner)
+    w_t = beam / np.linalg.norm(beam)
+    first = params.p_s * abs(w_r @ ch.h_sr) ** 2 / (
+        kps * s * abs(w_r @ ch.h_rr @ w_t) ** 2 + d1t
+    )
+    second = kps / (d1t * d2t) * s * abs(ch.h_rd @ w_t) ** 2
+    return min(first, second)
 
 
 def ascent_best_sinr(

@@ -158,6 +158,26 @@ class TestThroughputSweep:
             expected = 0.5 * (1.0 - row["outage"]) * 1.0 * (1.0 - row["alpha"])
             assert row["throughput"] == pytest.approx(expected, rel=1e-12)
 
+    def test_unsorted_and_one_point_grids(self):
+        # The refinement bracket comes from the best point's neighbours in
+        # the sorted grid, or halfway to 0 / 1 past an end point.
+        for values in ([0.9, 0.1, 0.5], [0.3]):
+            cfg = base_config(
+                schemes=["half_duplex"], sweep={"alpha": {"values": values}},
+                n_trials=2000,
+            )
+            rows = run_throughput_sweep(cfg).rows
+            grid = [r for r in rows if r["kind"] == "grid"]
+            (summary,) = [r for r in rows if r["kind"] == "summary"]
+            assert [r["alpha"] for r in grid] == values
+            best = max(grid, key=lambda r: (r["throughput"], -r["alpha"]))
+            ordered = sorted(values)
+            k = ordered.index(best["alpha"])
+            lo = ordered[k - 1] if k > 0 else ordered[0] / 2.0
+            hi = ordered[k + 1] if k + 1 < len(ordered) else (ordered[-1] + 1.0) / 2.0
+            assert lo <= summary["alpha"] <= hi
+            assert summary["throughput"] >= best["throughput"]
+
 
 class TestOutputsAndCli:
     def test_csv_byte_identical_and_json_mirror(self, tmp_path):

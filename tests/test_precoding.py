@@ -245,15 +245,14 @@ class TestOptimal:
     def test_agrees_with_ascent_oracle_2x2(self):
         params = make_params(2, 2, sigma2_li=0.3)
         rng = np.random.default_rng(1912)
-        spec = OptimalSearchSpec()  # restarts=100 drives the oracle below
         for i in range(12):
             ch = sample_channel(params, rng)
-            g_sdr = e2e_sinr(ch, params, optimal(ch, params, spec)).e2e
-            g_oracle = ascent_best_sinr(ch, params, restarts=spec.restarts, rng=rng)
+            g_sdr = e2e_sinr(ch, params, optimal(ch, params)).e2e
+            g_oracle = ascent_best_sinr(ch, params, restarts=100, rng=rng)
             assert g_sdr == pytest.approx(g_oracle, rel=1e-4)
 
     def test_search_spec_validation(self):
         with pytest.raises(ValueError):
             OptimalSearchSpec(t_grid_points=0)
         with pytest.raises(ValueError):
-            OptimalSearchSpec(tol=0.0)
+            OptimalSearchSpec(refine_iters=0)

@@ -24,9 +24,31 @@ from fdrelay.simkit import (
     _sinr_batch,
     _stream_key,
     params_at_alpha,
+    search_alpha,
 )
 
-from helpers import make_params
+from helpers import make_params, reference_sinr
+
+
+def _near_degenerate_channels():
+    """Loops whose direction on one side is rounding residue.
+
+    First h_sr orthogonal to the columns of a 3x2 loop with ||H_rr|| ~ 1e4
+    (a = H_rr^H h_sr vanishes); then a rank-one 3x2 loop that both h_sr and
+    h_rd^* null (a and v = H_rr h_rd^* vanish).
+    """
+    rng = np.random.default_rng(2015)
+
+    def cn(*shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+    hrr = 1e4 * cn(3, 2)
+    q, _ = np.linalg.qr(hrr, mode="complete")
+    yield ChannelRealization(1.3 * q[:, 2], cn(2), hrr)
+    u, w = cn(3), cn(2)
+    q, _ = np.linalg.qr(u[:, None], mode="complete")
+    h_rd = np.conj((2.1 + 0.9j) * np.array([w[1], -w[0]]))
+    yield ChannelRealization(1.1 * q[:, 1], h_rd, 1e4 * np.outer(u, w))
 
 
 class TestEstimateOutage:
@@ -112,8 +134,10 @@ class TestBatchScalarConsistency:
             batch = _sinr_batch(params, scheme, hsr, hrd, hrr, MC_SEARCH)
             for i in range(n):
                 ch = ChannelRealization(hsr[i], hrd[i], hrr[i])
+                reference = reference_sinr(ch, params, scheme)
+                assert batch[i] == pytest.approx(reference, rel=1e-10)
                 scalar = e2e_sinr(ch, params, maker(ch)).e2e
-                assert scalar == pytest.approx(batch[i], rel=1e-10)
+                assert scalar == pytest.approx(batch[i], rel=1e-12)
 
     def test_hd_matches_per_realization_path(self):
         params = make_params(2, 3, 4.0)
@@ -121,7 +145,27 @@ class TestBatchScalarConsistency:
         batch = _sinr_batch(params, Scheme.HALF_DUPLEX, hsr[:64], hrd[:64], hrr[:64], MC_SEARCH)
         for i in range(64):
             ch = ChannelRealization(hsr[i], hrd[i], hrr[i])
+            reference = reference_sinr(ch, params, Scheme.HALF_DUPLEX)
+            assert batch[i] == pytest.approx(reference, rel=1e-12)
             assert hd_snr(ch, params) == pytest.approx(batch[i], rel=1e-12)
+
+    def test_degenerate_loop_rule_is_scale_invariant(self):
+        # A loop direction that is only rounding residue must read as no
+        # loop (matched filtering) on the batched and the n = 1 path alike,
+        # whatever the scale of H_rr.
+        params = make_params(3, 2, 4.0, sigma2_li=0.2)
+        scales = 10.0 ** np.arange(-4, 9)
+        for ch in _near_degenerate_channels():
+            hsr = np.repeat(ch.h_sr[None, :], scales.size, axis=0)
+            hrd = np.repeat(ch.h_rd[None, :], scales.size, axis=0)
+            hrr = scales[:, None, None] * ch.h_rr[None, :, :]
+            for scheme, maker in ((Scheme.TZF, tzf), (Scheme.RZF, rzf)):
+                batch = _sinr_batch(params, scheme, hsr, hrd, hrr, MC_SEARCH)
+                for i in range(scales.size):
+                    scaled = ChannelRealization(hsr[i], hrd[i], hrr[i])
+                    scalar = e2e_sinr(scaled, params, maker(scaled)).e2e
+                    assert scalar == pytest.approx(batch[i], rel=1e-9)
+                assert batch == pytest.approx(np.full(scales.size, batch[0]), rel=1e-6)
 
 
 class TestThroughput:
@@ -190,6 +234,45 @@ class TestOptimizeAlpha:
             for a in np.linspace(0.01, 0.99, 197)
         )
         assert point.throughput == pytest.approx(dense, abs=2e-4)
+
+    def test_bracket_is_the_best_points_neighbours(self):
+        # R(alpha) = 1 - alpha peaks at the smallest grid point, whatever the
+        # grid's order; past an end point the bracket reaches halfway to 0
+        # or 1, and the refined optimum stays inside the bracket.
+        params = make_params(2, 2)
+        cases = {
+            (0.9, 0.1, 0.5): (0.05, 0.5),
+            (0.3,): (0.15, 0.65),
+            (0.2, 0.6): (0.1, 0.6),
+        }
+        for alphas, bracket in cases.items():
+            found = search_alpha(
+                params, Scheme.TZF, list(alphas), n_trials=1, seed=0,
+                outage_fn=lambda p, s: 0.0,
+            )
+            assert [pt.alpha for pt in found.grid] == list(alphas)
+            assert found.bracket == pytest.approx(bracket, rel=1e-12)
+            assert bracket[0] <= found.best.alpha <= bracket[1]
+            assert found.best.alpha < min(alphas)
+
+    def test_uniform_grid_bracket_matches_the_step_rule(self):
+        # On a uniform open grid the neighbours are one step away and the end
+        # brackets stop half a step from the boundary.
+        params = make_params(2, 2)
+        grid = 9
+        step = 1.0 / (grid + 1)
+        alphas = [(i + 1) * step for i in range(grid)]
+        for peak in (0, 4, grid - 1):
+            def oracle(p, s, peak=peak):
+                return 0.0 if p.alpha == alphas[peak] else 0.9
+
+            found = search_alpha(
+                params, Scheme.TZF, alphas, n_trials=1, seed=0, outage_fn=oracle,
+                refine_iters=2,
+            )
+            lo = max(alphas[peak] - step, step / 2.0)
+            hi = min(alphas[peak] + step, 1.0 - step / 2.0)
+            assert found.bracket == pytest.approx((lo, hi), rel=1e-12)
 
     def test_throughput_point_invariant(self):
         params = make_params(2, 2)
