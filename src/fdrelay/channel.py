@@ -11,6 +11,8 @@ Conventions pinned here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -41,8 +43,14 @@ class SystemParams:
     r_c: float
 
     def __post_init__(self) -> None:
+        for count in (self.m_r, self.m_t):
+            if not isinstance(count, numbers.Integral) or isinstance(count, bool):
+                raise ValueError(f"antenna counts must be integers, got {count!r}")
         if self.m_r < 1 or self.m_t < 1:
             raise ValueError("antenna counts must be positive integers")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.p_s > 0.0:
             raise ValueError("p_s must be positive")
         if not (self.d1 > 0.0 and self.d2 > 0.0):
@@ -82,11 +90,11 @@ class SystemParams:
         missing = fields - set(data)
         if missing:
             raise ValueError(f"missing SystemParams fields: {sorted(missing)}")
-        coerced = dict(data)
-        coerced["m_r"] = int(data["m_r"])
-        coerced["m_t"] = int(data["m_t"])
-        for name in fields - {"m_r", "m_t"}:
-            coerced[name] = float(data[name])
+        coerced = {name: float(data[name]) for name in fields}
+        for name in ("m_r", "m_t"):
+            if not coerced[name].is_integer():
+                raise ValueError(f"{name} must be an integer, got {data[name]!r}")
+            coerced[name] = int(coerced[name])
         return cls(**coerced)
 
 

@@ -23,7 +23,6 @@ from .channel import SystemParams
 from .errors import ConfigError, InfeasibleSchemeError
 from .outage import (
     OutageQuery,
-    _mrc_case1_alt_exponent,
     diversity_order,
     outage_hd,
     outage_mrc_case1,
@@ -97,6 +96,19 @@ class ExperimentConfig:
             if not has_points:
                 raise ConfigError(
                     'alpha sweep needs {"alpha": {"points": N}} or {"values": [...]}'
+                )
+            if grid.get("values"):
+                try:
+                    alphas = [float(a) for a in grid["values"]]
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"bad alpha sweep values: {exc}") from exc
+                if not all(0.0 < a < 1.0 for a in alphas):
+                    raise ConfigError(
+                        f"alpha sweep values must lie in (0, 1), got {grid['values']!r}"
+                    )
+            elif not (isinstance(grid["points"], int) and grid["points"] >= 1):
+                raise ConfigError(
+                    f"alpha sweep points must be an integer >= 1, got {grid['points']!r}"
                 )
         elif not self.sweep[kind]:
             raise ConfigError(f"sweep list {kind!r} must be non-empty")
@@ -175,7 +187,10 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True)
+        # Where a result is written does not change what it is.
+        data = self.to_dict()
+        del data["output_path"]
+        canon = json.dumps(data, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -468,7 +483,8 @@ def run_validation(cfg: ExperimentConfig) -> ValidationReport:
     p = _fig1_params(2, 1, 10.0)
     q = OutageQuery(p, p.gamma_th)
     primary = outage_mrc_case1(q)
-    alt = _mrc_case1_alt_exponent(q)
+    # d2 = sigma2_li^(-1/tau) makes c3 == c2: the CDF with c2 in the exponent
+    alt = outage_mrc_case1(OutageQuery(replace(p, d2=p.sigma2_li ** (-1 / p.tau)), q.z))
     est = estimate_outage(p, Scheme.MRC_MRT, n_mc, cfg.seed + 1, threads=cfg.threads)
     bound = 3.0 * est.std_err + 1e-3
     gap_primary = abs(primary - est.p_hat)

@@ -10,7 +10,10 @@ High-SNR approximations expose the diversity orders: min(m_r, m_t - 1) for
 transmit ZF and min(m_r - 1, m_t) for receive ZF.  The MRC/MRT scheme keeps
 loop interference that grows with the harvested power, so it has no diversity
 order (its outage floors out); only its two tractable antenna regimes
-(m_t == 1 and m_r == 1) admit analytic CDFs.
+(m_t == 1 and m_r == 1) admit analytic CDFs.  Both share one integrand: the
+matched combiner's loop pickup is Beta(1, m_r - 1) x Gamma(m_r, 1) = Exp(1)
+for every m_r, and Q(1, a) = e^-a turns the m_r == 1 second-hop factor
+Q(m_t, .) into the m_t == 1 exponential.
 """
 
 from __future__ import annotations
@@ -222,21 +225,28 @@ def outage_rzf_asymptotic(q: OutageQuery) -> float:
     return coeff * c**m_t * lam**m_t
 
 
-def _mrc_case1(q: OutageQuery, spec: QuadratureSpec, interference_free: bool) -> float:
+def _mrc_cdf(q: OutageQuery, spec: QuadratureSpec) -> float:
+    """MRC/MRT outage when m_t == 1 or m_r == 1; one integrand serves both.
+
+        F(z) = 1 - int_{z/c1}^inf F_loop((c1 x/z - 1)/(c2 x)) Q(m_t, z/(c3 x))
+                   x^(m_r-1) e^-x / Gamma(m_r) dx
+
+    with F_loop the Exp(1) CDF of the loop pickup (``meijer_special_cdf``).
+    """
     p = q.params
     c1, c2, c3 = link_coefficients(p)
-    lower = q.z / c1
     norm = math.exp(ln_gamma(p.m_r))
 
-    def integrand(y: float) -> float:
-        if interference_free or c2 == 0.0:
+    def integrand(x: float) -> float:
+        if c2 == 0.0:
             keep = 1.0
         else:
-            # max() guards endpoint rounding: the argument is >= 0 on y >= z/c1
-            keep = meijer_special_cdf(max((c1 / q.z - 1.0 / y) / c2, 0.0), p.m_r, spec)
-        return keep * math.exp(-q.z / (c3 * y)) * y ** (p.m_r - 1) * math.exp(-y) / norm
+            # max() guards endpoint rounding: the argument is >= 0 on x >= z/c1
+            keep = meijer_special_cdf(max(c1 * x / q.z - 1.0, 0.0) / (c2 * x), p.m_r)
+        survive = reg_gamma_q(p.m_t, q.z / (c3 * x))
+        return keep * survive * x ** (p.m_r - 1) * math.exp(-x) / norm
 
-    return _clip_prob(1.0 - integrate_semi_infinite(integrand, lower, spec))
+    return _clip_prob(1.0 - integrate_semi_infinite(integrand, q.z / c1, spec))
 
 
 def outage_mrc_case1(q: OutageQuery, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
@@ -250,31 +260,7 @@ def outage_mrc_case1(q: OutageQuery, spec: QuadratureSpec = DEFAULT_QUADRATURE) 
     p = q.params
     if p.m_t != 1:
         raise WrongCaseError("this MRC/MRT case needs m_t == 1")
-    return _mrc_case1(q, spec, interference_free=False)
-
-
-def _mrc_case1_alt_exponent(
-    q: OutageQuery, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
-    """Variant of the m_t == 1 CDF with c2 in the survival exponent.
-
-    Kept only so the validation runner can demonstrate against Monte Carlo
-    which exponent is consistent; not part of the public surface.
-    """
-    p = q.params
-    if p.m_t != 1:
-        raise WrongCaseError("this MRC/MRT case needs m_t == 1")
-    c1, c2, c3 = link_coefficients(p)
-    if c2 == 0.0:
-        return _mrc_case1(q, spec, interference_free=True)
-    lower = q.z / c1
-    norm = math.exp(ln_gamma(p.m_r))
-
-    def integrand(y: float) -> float:
-        keep = meijer_special_cdf(max((c1 / q.z - 1.0 / y) / c2, 0.0), p.m_r, spec)
-        return keep * math.exp(-q.z / (c2 * y)) * y ** (p.m_r - 1) * math.exp(-y) / norm
-
-    return _clip_prob(1.0 - integrate_semi_infinite(integrand, lower, spec))
+    return _mrc_cdf(q, spec)
 
 
 def outage_mrc_case2(q: OutageQuery, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
@@ -290,17 +276,7 @@ def outage_mrc_case2(q: OutageQuery, spec: QuadratureSpec = DEFAULT_QUADRATURE) 
     p = q.params
     if p.m_r != 1:
         raise WrongCaseError("this MRC/MRT case needs m_r == 1")
-    c1, c2, c3 = link_coefficients(p)
-    lower = q.z / c1
-
-    def integrand(x: float) -> float:
-        if c2 == 0.0:
-            keep = 1.0
-        else:
-            keep = -math.expm1(-max(c1 * x / q.z - 1.0, 0.0) / (c2 * x))
-        return keep * reg_gamma_q(p.m_t, q.z / (c3 * x)) * math.exp(-x)
-
-    return _clip_prob(1.0 - integrate_semi_infinite(integrand, lower, spec))
+    return _mrc_cdf(q, spec)
 
 
 def outage_hd(q: OutageQuery, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:

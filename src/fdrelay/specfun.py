@@ -8,6 +8,7 @@ integrals need.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -94,34 +95,23 @@ def digamma(x: float) -> float:
     return float(special.psi(x))
 
 
-def meijer_special_cdf(
-    t: float, m_r: int, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
+def meijer_special_cdf(t: float, m_r: int) -> float:
     """CDF of the loop-channel power seen through a matched unit combiner.
 
     The random variable is ``X = Z * U`` with ``Z ~ Beta(1, m_r - 1)`` (the
     squared cosine between two independent isotropic ``m_r``-dimensional
     directions) and ``U ~ Gamma(m_r, 1)`` (the squared norm of the
-    unit-variance loop vector).  For ``m_r == 1`` the Beta factor degenerates
-    to the constant 1 and ``F(t) = 1 - exp(-t)``; otherwise the CDF is
-    evaluated from the tail integral
+    unit-variance loop vector); for ``m_r == 1`` the Beta factor is the
+    constant 1.  By the beta-gamma algebra, Beta(1, m_r - 1) x Gamma(m_r, 1)
+    is Gamma(1, 1) for every ``m_r``, so ``X ~ Exp(1)`` and
 
-        F(t) = 1 - (1/Gamma(m_r)) * int_t^inf (1 - t/u)^(m_r-1) u^(m_r-1) e^-u du.
+        F(t) = 1 - exp(-t).
     """
     if t < 0.0:
         raise ValueError(f"negative argument {t!r}")
     if m_r < 1:
         raise ValueError(f"m_r must be a positive integer, got {m_r!r}")
-    if m_r == 1:
-        return -float(np.expm1(-t))
-    if t == 0.0:
-        return 0.0
-
-    def integrand(u: float) -> float:
-        return (1.0 - t / u) ** (m_r - 1) * u ** (m_r - 1) * np.exp(-u)
-
-    tail = integrate_semi_infinite(integrand, t, spec)
-    return float(np.clip(1.0 - tail / special.gamma(m_r), 0.0, 1.0))
+    return -math.expm1(-t)
 
 
 def _tail_cutoff(f: Callable[[float], float], lower: float) -> float | None:

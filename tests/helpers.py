@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 from scipy.optimize import minimize
 
@@ -34,6 +35,33 @@ def four_antenna_params(alpha: float = 0.5) -> SystemParams:
     return make_params(
         4, 4, 10.0, d1=2.0, d2=2.0, tau=3.1, sigma2_li=0.3, alpha=alpha,
     )
+
+
+def reference_mrc_outage(params: SystemParams, z: float) -> float:
+    """30-digit mpmath value of the MRC/MRT outage for m_t == 1 or m_r == 1.
+
+    Integrates the paper's single-integral CDF with the link coefficients
+    recomputed in extended precision, with panel breaks at decades above the
+    lower limit z/c1 where the loop factor has its boundary layer.
+    """
+    with mpmath.workdps(30):
+        mpf = mpmath.mpf
+        first = mpf(params.p_s) / mpf(params.d1) ** params.tau
+        kappa = mpf(params.eta) * params.alpha / (1 - mpf(params.alpha))
+        c2 = first * kappa * params.sigma2_li
+        c3 = first * kappa / mpf(params.d2) ** params.tau
+        z = mpf(z)
+        norm = mpmath.gamma(params.m_r)
+
+        def integrand(x):
+            keep = -mpmath.expm1(-(first * x / z - 1) / (c2 * x)) if c2 else 1
+            survive = mpmath.gammainc(params.m_t, z / (c3 * x), mpmath.inf,
+                                      regularized=True)
+            return keep * survive * x ** (params.m_r - 1) * mpmath.exp(-x) / norm
+
+        lower = z / first
+        breaks = [lower * 10**k for k in range(7) if lower * 10**k < 1]
+        return float(1 - mpmath.quad(integrand, breaks + [1, 4, 16, 64, mpmath.inf]))
 
 
 def reference_sinr(ch: ChannelRealization, params: SystemParams, scheme: Scheme) -> float:

@@ -1,5 +1,7 @@
 """Channel distribution fits, determinism, and harvested-power scaling."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -117,6 +119,22 @@ def test_params_validation():
         make_params(2, 2, eta=1.5)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("m_r", 1.5), ("m_r", 2.7), ("m_t", 2.5),
+        ("p_s", math.inf), ("d1", math.inf), ("d2", math.inf), ("tau", math.inf),
+        ("sigma2_li", math.nan), ("sigma2_li", math.inf),
+        ("gamma_th", math.inf), ("r_c", math.inf),
+    ],
+)
+def test_params_reject_non_integral_and_non_finite(name, value):
+    with pytest.raises(ValueError):
+        make_params(**{name: value})
+    with pytest.raises(ValueError):
+        SystemParams.from_dict({**make_params().to_dict(), name: value})
+
+
 def test_kappa_and_rho():
     p = make_params(2, 2, 25.0, alpha=0.75, eta=0.8)
     assert p.kappa == pytest.approx(0.8 * 3.0, rel=1e-12)
@@ -126,6 +144,8 @@ def test_kappa_and_rho():
 def test_params_dict_roundtrip():
     p = make_params(3, 4, 12.5, d1=2.0, tau=3.1)
     assert SystemParams.from_dict(p.to_dict()) == p
+    assert SystemParams.from_dict({**p.to_dict(), "m_r": 3.0, "m_t": np.int64(4)}) == p
+    assert make_params(np.int64(3), np.int32(4), 12.5, d1=2.0, tau=3.1) == p
     with pytest.raises(ValueError):
         SystemParams.from_dict({**p.to_dict(), "bogus": 1.0})
     incomplete = p.to_dict()

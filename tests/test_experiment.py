@@ -61,6 +61,10 @@ class TestConfig:
             base_config(threshold_mode="sometimes")
         with pytest.raises(ConfigError):
             base_config(unknown_field=1)
+        for grid in ({"values": [0.5, 1.5]}, {"values": [0.0, 0.5]},
+                     {"values": [float("nan")]}, {"points": 2.5}, {"points": -3}):
+            with pytest.raises(ConfigError):
+                base_config(sweep={"alpha": grid})
 
     def test_trials_for_optimal_scheme(self):
         cfg = base_config(n_trials=200_000)
@@ -214,7 +218,8 @@ class TestOutputsAndCli:
             "--out", str(tmp_path / "b.csv"),
         ]) == 0
         text_b = (tmp_path / "b.csv").read_text()
-        assert text_a.splitlines()[3:] == text_b.splitlines()[3:]
+        # the output path is not part of the config hash
+        assert text_a == text_b
 
     def test_cli_config_error_exit_code(self, tmp_path):
         missing = tmp_path / "nope.json"
@@ -222,6 +227,10 @@ class TestOutputsAndCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli_main(["outage", "--config", str(bad)]) == 2
+        alpha = base_config(sweep={"alpha": {"points": 3}}).to_dict()
+        alpha["sweep"] = {"alpha": {"values": [0.5, 1.5]}}
+        bad.write_text(json.dumps(alpha))
+        assert cli_main(["throughput", "--config", str(bad)]) == 2
 
     def test_cli_throughput(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -154,7 +154,7 @@ class TestLoopProductCdf:
 
     def test_beta_gamma_product_collapses_to_exponential(self):
         # Beta(1, m-1) x Gamma(m, 1) is Gamma(1, 1) by the beta-gamma algebra,
-        # so the quadrature must reproduce 1 - exp(-t) for every m_r.
+        # so the CDF is 1 - exp(-t) for every m_r.
         for m_r in (2, 3, 5):
             for t in (0.2, 1.0, 3.7):
                 assert meijer_special_cdf(t, m_r) == pytest.approx(
