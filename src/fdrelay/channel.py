@@ -106,6 +106,11 @@ class ChannelRealization:
     h_rd: np.ndarray  # (m_t,) complex row, relay -> destination
     h_rr: np.ndarray  # (m_r, m_t) complex loop channel
 
+    def __post_init__(self) -> None:
+        for name in ("h_sr", "h_rd", "h_rr"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must have finite entries")
+
     @property
     def m_r(self) -> int:
         return self.h_sr.shape[0]

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -55,6 +56,16 @@ __all__ = [
 
 _OUTPUT_KINDS = ("monte_carlo", "analytic", "asymptotic")
 _THRESHOLD_MODES = ("fixed", "rate_coupled")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int: ints, numpy ints and integral floats pass."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if not integral or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -152,22 +163,27 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config fields: {sorted(unknown)}")
             params = SystemParams.from_dict(data["params"])
             schemes = tuple(Scheme(s) for s in data["schemes"])
+            json_mirror = data.get("json_mirror", False)
+            if not isinstance(json_mirror, bool):
+                raise ConfigError(
+                    f"json_mirror must be true or false, got {json_mirror!r}"
+                )
             return cls(
                 params=params,
                 schemes=schemes,
                 sweep=dict(data["sweep"]),
-                n_trials=int(data["n_trials"]),
-                seed=int(data["seed"]),
+                n_trials=_integer("n_trials", data["n_trials"]),
+                seed=_integer("seed", data["seed"]),
                 outputs=tuple(data["outputs"]),
                 output_path=str(data["output_path"]),
                 threshold_mode=str(data.get("threshold_mode", "fixed")),
                 n_trials_optimal=(
-                    int(data["n_trials_optimal"])
+                    _integer("n_trials_optimal", data["n_trials_optimal"])
                     if data.get("n_trials_optimal") is not None
                     else None
                 ),
-                threads=int(data.get("threads", 1)),
-                json_mirror=bool(data.get("json_mirror", False)),
+                threads=_integer("threads", data.get("threads", 1)),
+                json_mirror=json_mirror,
             )
         except ConfigError:
             raise

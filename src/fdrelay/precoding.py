@@ -19,7 +19,8 @@ loop leakage ``t``.  For each ``t`` the inner problem
 (with ``A = a a^H``, ``a = H_rr^H h_sr``, ``C = H_rr^H H_rr``, ``kt = kappa
 p_s / d1^tau`` and ``S = ||h_sr||^2``) is solved exactly through the dual of
 its semidefinite relaxation: bisection on the multiplier ``mu`` applied to the
-pencil ``h h^H + mu (A - t C)``, taking the top eigenvector at each step.
+pencil ``h h^H + mu (A - t C)``, taking the top eigenvector at each step
+from one batched LAPACK eigensolve over all realizations still searched.
 With one trace constraint plus the unit-trace normalization the relaxation is
 tight, so the top eigenvector is a global solution of the inner problem.  The
 outer 1-D search sweeps a coarse ``t`` grid, then bisects for the crossing
@@ -32,7 +33,6 @@ imprecision can only cost optimality, never feasibility.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +87,7 @@ class BeamformingPair:
     def __post_init__(self) -> None:
         for name, vec in (("w_r", self.w_r), ("w_t", self.w_t)):
             norm = np.linalg.norm(vec)
-            if abs(norm - 1.0) > 1e-10:
+            if not abs(norm - 1.0) <= 1e-10:  # also rejects NaN
                 raise ValueError(f"{name} must be unit norm, got ||{name}|| = {norm}")
 
 
@@ -267,36 +267,17 @@ def _hops_for_wt(
 def _top_eig_rank_one(lam_mu: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Top eigenvector of diag(lam_mu) + g g^H, in the diagonalizing basis.
 
-    The largest eigenvalue is the root of the secular function
-    phi(theta) = sum_i |g_i|^2 / (theta - lam_mu_i) = 1 on
-    (max(lam_mu), max(lam_mu) + ||g||^2]; phi is convex and decreasing
-    there, so Newton started at the right end converges monotonically.
-    The eigenvector is (theta I - diag(lam_mu))^{-1} g.
+    The diagonal unitary P = diag(exp(i arg g)) gives
+    P^H (diag(lam_mu) + g g^H) P = diag(lam_mu) + |g| |g|^T, so the answer
+    is P v with v the top eigenvector of that real symmetric matrix.  One
+    batched real LAPACK eigensolve, cheaper than the complex one, gives v:
+    ``eigh`` sorts eigenvalues ascending, so v is its last column.
     """
-    g2 = np.abs(g) ** 2
-    total = np.maximum(np.sum(g2, axis=1), 1e-300)
-    dmax = lam_mu.max(axis=1)
-    lo = dmax.copy()          # phi -> +inf here
-    hi = dmax + total         # phi <= 1 here
-    theta = 0.5 * (lo + hi)
-    floor = 1e-16 * total
-    for _ in range(30):
-        denom = np.maximum(theta[:, None] - lam_mu, floor[:, None])
-        frac = g2 / denom
-        phi = np.sum(frac, axis=1)
-        dphi = -np.sum(frac / denom, axis=1)
-        above = phi > 1.0
-        lo = np.where(above, theta, lo)
-        hi = np.where(above, hi, theta)
-        if np.all(hi - lo <= 1e-14 * np.maximum(hi - dmax, floor)):
-            theta = 0.5 * (lo + hi)
-            break
-        # Newton step, bisection fallback when it leaves the bracket.
-        newton = theta - (phi - 1.0) / np.minimum(dphi, -1e-300)
-        mid = 0.5 * (lo + hi)
-        theta = np.where((newton > lo) & (newton < hi), newton, mid)
-    w = g / np.maximum(theta[:, None] - lam_mu, floor[:, None])
-    return _normalize_rows(w)
+    mag = np.abs(g)
+    m = mag[:, :, None] * mag[:, None, :]
+    idx = np.arange(g.shape[1])
+    m[:, idx, idx] += lam_mu
+    return np.exp(1j * np.angle(g)) * np.linalg.eigh(m)[1][:, :, -1]
 
 
 def _constrained_gain_dirs(
@@ -548,10 +529,4 @@ def _optimal_wt_batch(
         cross["hi"] = np.where(go_up, cross["hi"], mid)
         cross = compress(cross)
 
-    if not np.all(np.isfinite(best_gamma)):
-        warnings.warn("optimal search produced non-finite candidates; "
-                      "falling back to closed-form beamformers")
-        bad = ~np.isfinite(best_gamma)
-        best_wt[bad] = matched[bad]
-        best_gamma[bad] = np.minimum(*_hops_for_wt(params, hsr, hrd, hrr, best_wt))[bad]
     return best_wt, best_gamma

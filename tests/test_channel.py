@@ -135,6 +135,17 @@ def test_params_reject_non_integral_and_non_finite(name, value):
         SystemParams.from_dict({**make_params().to_dict(), name: value})
 
 
+@pytest.mark.parametrize("name", ["h_sr", "h_rd", "h_rr"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, -np.inf)])
+def test_realization_rejects_non_finite_entries(name, bad):
+    ch = sample_channel(make_params(2, 3), np.random.default_rng(5))
+    arrays = {"h_sr": ch.h_sr, "h_rd": ch.h_rd, "h_rr": ch.h_rr}
+    corrupted = arrays[name].copy()
+    corrupted.flat[-1] = bad
+    with pytest.raises(ValueError, match=name):
+        ChannelRealization(**{**arrays, name: corrupted})
+
+
 def test_kappa_and_rho():
     p = make_params(2, 2, 25.0, alpha=0.75, eta=0.8)
     assert p.kappa == pytest.approx(0.8 * 3.0, rel=1e-12)

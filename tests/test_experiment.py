@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fdrelay.cli import main as cli_main
@@ -65,6 +66,18 @@ class TestConfig:
                      {"values": [float("nan")]}, {"points": 2.5}, {"points": -3}):
             with pytest.raises(ConfigError):
                 base_config(sweep={"alpha": grid})
+
+    def test_integer_and_bool_fields_are_strict(self):
+        for name, value in (("n_trials", 2000.7), ("seed", 1.9), ("threads", 1.5),
+                            ("n_trials_optimal", 500.5), ("seed", "3"),
+                            ("n_trials", float("inf")), ("threads", True),
+                            ("json_mirror", "false"), ("json_mirror", 1)):
+            with pytest.raises(ConfigError, match=name):
+                base_config(**{name: value})
+        cfg = base_config(n_trials=2000.0, seed=np.int64(3), threads=np.int32(2),
+                          n_trials_optimal=500.0, json_mirror=False)
+        assert (cfg.n_trials, cfg.seed, cfg.threads, cfg.n_trials_optimal) == (2000, 3, 2, 500)
+        assert all(type(v) is int for v in (cfg.n_trials, cfg.seed, cfg.threads))
 
     def test_trials_for_optimal_scheme(self):
         cfg = base_config(n_trials=200_000)
@@ -231,6 +244,9 @@ class TestOutputsAndCli:
         alpha["sweep"] = {"alpha": {"values": [0.5, 1.5]}}
         bad.write_text(json.dumps(alpha))
         assert cli_main(["throughput", "--config", str(bad)]) == 2
+        fractional = {**base_config().to_dict(), "n_trials": 2000.7}
+        bad.write_text(json.dumps(fractional))
+        assert cli_main(["outage", "--config", str(bad)]) == 2
 
     def test_cli_throughput(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

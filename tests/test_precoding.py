@@ -34,6 +34,12 @@ def test_pair_validates_norms():
             w_t=np.array([1.0 + 0j]),
             scheme=Scheme.MRC_MRT,
         )
+    with pytest.raises(ValueError, match="w_t"):
+        BeamformingPair(
+            w_r=np.array([1.0 + 0j, 0.0 + 0j]),
+            w_t=np.array([np.nan + 0j, 0.0 + 0j]),
+            scheme=Scheme.OPTIMAL,
+        )
 
 
 class TestMrcMrt:
@@ -250,6 +256,30 @@ class TestOptimal:
             g_sdr = e2e_sinr(ch, params, optimal(ch, params)).e2e
             g_oracle = ascent_best_sinr(ch, params, restarts=100, rng=rng)
             assert g_sdr == pytest.approx(g_oracle, rel=1e-4)
+
+    @pytest.mark.parametrize("resolve_above", [None, 3.0])
+    def test_non_finite_candidates_never_replace_matched(self, monkeypatch, resolve_above):
+        # A NaN candidate loses every "better than the incumbent" test, so the
+        # search returns the matched beamformer and its SINR unchanged.
+        from fdrelay import precoding
+
+        params = four_antenna_params()
+        hsr, hrd, hrr = _chunk_channels(params, _stream_key(5, 0), 0)
+        hsr, hrd, hrr = hsr[:200], hrd[:200], hrr[:200]
+        calls = []
+
+        def nan_rows(params, hsr, hrr, h_dir, a_vec, c_mat, t, mu_init):
+            calls.append(t.size)
+            return np.full_like(h_dir, np.nan), mu_init
+
+        monkeypatch.setattr(precoding, "_wt_at_leakage", nan_rows)
+        with np.errstate(invalid="ignore"):
+            wt, gamma = _optimal_wt_batch(params, hsr, hrd, hrr, resolve_above=resolve_above)
+        _, matched = precoding._beamformers_batch(Scheme.MRC_MRT, hsr, hrd, hrr)
+        g_matched = np.minimum(*precoding._hops_for_wt(params, hsr, hrd, hrr, matched))
+        assert calls and calls[0] > 0
+        assert np.array_equal(wt, matched)
+        assert np.array_equal(gamma, g_matched)
 
     def test_search_spec_validation(self):
         with pytest.raises(ValueError):
