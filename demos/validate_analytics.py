@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Run the built-in consistency suite from the library API.
 
-Same checks as ``fdrelay validate``: special-function identities, analytic
-CDFs against Monte Carlo, the survival-exponent resolution for the
+Same checks as ``fdrelay validate``, read from the check table that the
+acceptance suite shares: special-function identities, analytic CDFs against
+Monte Carlo, the survival-exponent resolution for the
 single-transmit-antenna matched scheme, diversity slopes, asymptotic ratios,
-and worker-count reproducibility.
+the MRC/MRT outage floor, the low-SNR matched-filter advantage, and
+worker-count reproducibility.
 """
 
 from fdrelay.experiment import ExperimentConfig, run_validation

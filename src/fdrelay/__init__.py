@@ -31,9 +31,7 @@ from .simkit import (
 )
 from .sinr import SinrBreakdown, e2e_sinr, hd_snr
 from .specfun import (
-    DEFAULT_QUADRATURE,
     QuadratureConvergenceError,
-    QuadratureSpec,
     digamma,
     integrate_semi_infinite,
     ln_gamma,
@@ -75,8 +73,6 @@ __all__ = [
     "estimate_outage",
     "throughput",
     "optimize_alpha",
-    "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
     "QuadratureConvergenceError",
     "ln_gamma",
     "reg_gamma_p",

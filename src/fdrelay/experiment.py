@@ -5,6 +5,10 @@ dB, everything else linear).  Sweep outputs are CSV tables with a ``#``
 header block recording the config hash, seed and tool version, plus an
 optional JSON mirror; rows are emitted in a deterministic order so reruns
 are byte-identical.
+
+``_exact_cdf`` alone maps a scheme and antenna pair to its analytic CDFs.
+``run_validation`` and the acceptance suite read one check table of
+measurements, each with its own sizes and bounds.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .channel import SystemParams
@@ -34,14 +39,13 @@ from .outage import (
     outage_tzf_asymptotic,
 )
 from .precoding import Scheme, check_feasible
-from .simkit import estimate_outage, search_alpha
+from .simkit import OutageEstimate, estimate_outage, search_alpha
 from .specfun import (
-    DEFAULT_QUADRATURE,
+    digamma,
     integrate_semi_infinite,
     meijer_special_cdf,
     reg_gamma_p,
     reg_gamma_q,
-    digamma,
 )
 
 __all__ = [
@@ -66,6 +70,16 @@ def _integer(name: str, value) -> int:
     if not integral or isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _numbers(name: str, values) -> list[float]:
+    """``values`` as a non-empty list of finite floats; bools and strings fail."""
+    if not isinstance(values, (list, tuple)) or not values or not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+        for v in values
+    ):
+        raise ConfigError(f"{name} must be a non-empty list of finite numbers, got {values!r}")
+    return [float(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -94,35 +108,27 @@ class ExperimentConfig:
             raise ConfigError(f"unknown output kinds {bad}; valid: {_OUTPUT_KINDS}")
         if self.threshold_mode not in _THRESHOLD_MODES:
             raise ConfigError(f"threshold_mode must be one of {_THRESHOLD_MODES}")
-        if self.n_trials < 1:
-            raise ConfigError("n_trials must be positive")
-        if self.threads < 1:
-            raise ConfigError("threads must be positive")
+        for name in ("n_trials", "threads", "n_trials_optimal"):
+            count = getattr(self, name)
+            if count is not None and count < 1:
+                raise ConfigError(f"{name} must be positive")
         kind = self.sweep_kind()
-        if kind == "alpha":
-            grid = self.sweep["alpha"]
-            has_points = isinstance(grid, dict) and (
-                grid.get("points", 0) or grid.get("values")
+        grid = self.sweep[kind]
+        if kind != "alpha":
+            _numbers(f"sweep list {kind!r}", grid)
+        elif not (isinstance(grid, dict) and (grid.get("points") or grid.get("values"))):
+            raise ConfigError(
+                'alpha sweep needs {"alpha": {"points": N}} or {"values": [...]}'
             )
-            if not has_points:
+        elif grid.get("values"):
+            if not all(0.0 < a < 1.0 for a in _numbers("alpha sweep values", grid["values"])):
                 raise ConfigError(
-                    'alpha sweep needs {"alpha": {"points": N}} or {"values": [...]}'
+                    f"alpha sweep values must lie in (0, 1), got {grid['values']!r}"
                 )
-            if grid.get("values"):
-                try:
-                    alphas = [float(a) for a in grid["values"]]
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad alpha sweep values: {exc}") from exc
-                if not all(0.0 < a < 1.0 for a in alphas):
-                    raise ConfigError(
-                        f"alpha sweep values must lie in (0, 1), got {grid['values']!r}"
-                    )
-            elif not (isinstance(grid["points"], int) and grid["points"] >= 1):
-                raise ConfigError(
-                    f"alpha sweep points must be an integer >= 1, got {grid['points']!r}"
-                )
-        elif not self.sweep[kind]:
-            raise ConfigError(f"sweep list {kind!r} must be non-empty")
+        elif _integer("alpha sweep points", grid["points"]) < 1:
+            raise ConfigError(
+                f"alpha sweep points must be an integer >= 1, got {grid['points']!r}"
+            )
 
     def sweep_kind(self) -> str:
         kinds = [k for k in ("snr_db", "alpha", "threshold_db") if k in self.sweep]
@@ -261,21 +267,34 @@ def _meta(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _analytic_outage(params: SystemParams, scheme: Scheme) -> float | None:
-    q = OutageQuery(params, params.gamma_th)
+def _is_feasible(scheme: Scheme, m_r: int, m_t: int) -> bool:
+    try:
+        check_feasible(scheme, m_r, m_t)
+    except InfeasibleSchemeError:
+        return False
+    return True
+
+
+def _exact_cdf(scheme: Scheme, m_r: int, m_t: int) -> list[tuple[str, Callable]]:
+    """Every (label, analytic outage CDF) of ``scheme`` at (m_r, m_t).
+
+    A single-antenna relay lies in both MRC/MRT regimes and gets both CDFs.
+    The ``outage_*`` names are looked up at call time.
+    """
+    if not _is_feasible(scheme, m_r, m_t):
+        return []
     if scheme is Scheme.TZF:
-        return outage_tzf(q)
+        return [("tzf", outage_tzf)]
     if scheme is Scheme.RZF:
-        return outage_rzf(q)
+        return [("rzf", outage_rzf)]
     if scheme is Scheme.HALF_DUPLEX:
-        return outage_hd(q)
-    if scheme is Scheme.MRC_MRT:
-        if params.m_t == 1:
-            return outage_mrc_case1(q)
-        if params.m_r == 1:
-            return outage_mrc_case2(q)
-        return None
-    return None  # optimal scheme: simulation only
+        return [("hd", outage_hd)]
+    cdfs = []
+    if scheme is Scheme.MRC_MRT and m_t == 1:
+        cdfs.append(("mrc_case1", outage_mrc_case1))
+    if scheme is Scheme.MRC_MRT and m_r == 1:
+        cdfs.append(("mrc_case2", outage_mrc_case2))
+    return cdfs
 
 
 def _asymptotic_outage(params: SystemParams, scheme: Scheme) -> float | None:
@@ -285,14 +304,6 @@ def _asymptotic_outage(params: SystemParams, scheme: Scheme) -> float | None:
     if scheme is Scheme.RZF:
         return outage_rzf_asymptotic(q)
     return None
-
-
-def _is_feasible(params: SystemParams, scheme: Scheme) -> bool:
-    try:
-        check_feasible(scheme, params.m_r, params.m_t)
-    except InfeasibleSchemeError:
-        return False
-    return True
 
 
 _OUTAGE_COLUMNS = [
@@ -329,7 +340,7 @@ def run_outage_sweep(cfg: ExperimentConfig) -> SweepResult:
                 "m_r": p.m_r,
                 "m_t": p.m_t,
             }
-            feasible = _is_feasible(p, scheme)
+            feasible = _is_feasible(scheme, p.m_r, p.m_t)
             for out_kind in cfg.outputs:
                 row = dict(base, kind=out_kind, status="ok")
                 if not feasible:
@@ -342,7 +353,8 @@ def run_outage_sweep(cfg: ExperimentConfig) -> SweepResult:
                     row["p_out"] = est.p_hat
                     row["std_err"] = est.std_err
                 elif out_kind == "analytic":
-                    row["analytic"] = _analytic_outage(p, scheme)
+                    cdfs = _exact_cdf(scheme, p.m_r, p.m_t)
+                    row["analytic"] = cdfs[0][1](OutageQuery(p, p.gamma_th)) if cdfs else None
                 else:
                     row["asymptotic"] = _asymptotic_outage(p, scheme)
                 rows.append(row)
@@ -381,7 +393,7 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> SweepResult:
             "m_r": cfg.params.m_r,
             "m_t": cfg.params.m_t,
         }
-        if not _is_feasible(cfg.params, scheme):
+        if not _is_feasible(scheme, cfg.params.m_r, cfg.params.m_t):
             for alpha in alphas:
                 rows.append(dict(base, kind="grid", alpha=alpha, status="infeasible"))
             rows.append(dict(base, kind="summary", status="infeasible"))
@@ -432,17 +444,103 @@ class ValidationReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def _fig1_params(m_r: int, m_t: int, p_s: float, alpha: float = 0.5) -> SystemParams:
+def _fig1_params(m_r: int, m_t: int, p_s: float) -> SystemParams:
     return SystemParams(
         m_r=m_r, m_t=m_t, p_s=p_s, d1=1.0, d2=1.0, tau=3.0, eta=1.0,
-        alpha=alpha, sigma2_li=0.1, gamma_th=1.0, r_c=1.0,
+        alpha=0.5, sigma2_li=0.1, gamma_th=1.0, r_c=1.0,
     )
 
 
+# --- check table: measurements for run_validation and the acceptance suite ---
+
+
+def _specfun_errors(gamma_a, gamma_x, loop_t) -> tuple[float, float, float, float]:
+    """Worst errors of P(a, x) + Q(a, x) = 1 on ``gamma_a`` x ``gamma_x``, the
+    digamma recurrence, the tail quadrature of u^(a-1) e^-u over [1, inf)
+    against its closed form (a = 1..5) and the m_r = 1 loop CDF on ``loop_t``.
+    """
+    def tail_error(a: int) -> float:
+        got = integrate_semi_infinite(lambda u: u ** (a - 1) * math.exp(-u), 1.0)
+        want = math.factorial(a - 1) * math.exp(-1.0) * sum(
+            1.0 / math.factorial(k) for k in range(a)
+        )
+        return abs(got - want)
+
+    return (
+        max(abs(reg_gamma_p(a, x) + reg_gamma_q(a, x) - 1.0) for a in gamma_a for x in gamma_x),
+        max(abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) for x in (0.5, 1.0, 2.0, 7.3)),
+        max(tail_error(a) for a in range(1, 6)),
+        max(abs(meijer_special_cdf(t, 1) - (1.0 - math.exp(-t))) for t in loop_t),
+    )
+
+
+def _mc_vs_exact(pairs, snrs_db, n_trials: int, seed: int, threads: int) -> list[tuple]:
+    """(label, m_r, m_t, snr_db, analytic, Monte Carlo estimate) for every
+    analytic CDF of every feasible (scheme, pair) at every SNR, in that
+    nesting order; comparison i draws from substream i.
+    """
+    out: list[tuple] = []
+    for m_r, m_t in pairs:
+        for scheme in Scheme:
+            for label, cdf in _exact_cdf(scheme, m_r, m_t):
+                for snr_db in snrs_db:
+                    p = _fig1_params(m_r, m_t, 10.0 ** (snr_db / 10.0))
+                    est = estimate_outage(p, scheme, n_trials, seed, threads=threads,
+                                          stream=len(out))
+                    out.append((label, m_r, m_t, snr_db, cdf(OutageQuery(p, p.gamma_th)), est))
+    return out
+
+
+def _asymptotic_ratios(cases) -> list[float]:
+    """Exact over asymptotic outage at 40 dB for each ZF (scheme, m_r, m_t)."""
+    ratios = []
+    for scheme, m_r, m_t in cases:
+        (_, cdf), = _exact_cdf(scheme, m_r, m_t)
+        p = _fig1_params(m_r, m_t, 1e4)
+        ratios.append(cdf(OutageQuery(p, p.gamma_th)) / _asymptotic_outage(p, scheme))
+    return ratios
+
+
+def _diversity_slopes(cases) -> list[tuple[float, int]]:
+    """(outage decades lost from 35 to 45 dB, diversity order) for each ZF
+    (scheme, m_r, m_t).  Balanced TZF (m_t == m_r + 1) decays as
+    rho^-m_r log(rho), so its outage is divided by log(rho) first.
+    """
+    slopes = []
+    for scheme, m_r, m_t in cases:
+        (_, cdf), = _exact_cdf(scheme, m_r, m_t)
+        balanced = scheme is Scheme.TZF and m_t == m_r + 1
+        logs = []
+        for rho in (10.0**3.5, 10.0**4.5):
+            p = _fig1_params(m_r, m_t, rho)
+            value = cdf(OutageQuery(p, p.gamma_th))
+            logs.append(math.log10(value / math.log(rho) if balanced else value))
+        slopes.append((logs[0] - logs[1], diversity_order(scheme, m_r, m_t)))
+    return slopes
+
+
+def _mrc_floor(n_trials: int, seed: int, threads: int) -> list[OutageEstimate]:
+    """MRC/MRT then TZF outage of a 3x3 relay at 40 and 50 dB, where the
+    MRC/MRT loop-interference floor sits far above the TZF decay."""
+    return [
+        estimate_outage(_fig1_params(3, 3, p_s), scheme, n_trials, seed, threads=threads)
+        for scheme in (Scheme.MRC_MRT, Scheme.TZF)
+        for p_s in (1e4, 1e5)
+    ]
+
+
+def _low_snr_outages(n_trials: int, seed: int, threads: int) -> list[OutageEstimate]:
+    """MRC/MRT, TZF and RZF outage of a 2x2 relay at 0 dB."""
+    return [
+        estimate_outage(_fig1_params(2, 2, 1.0), scheme, n_trials, seed, threads=threads)
+        for scheme in (Scheme.MRC_MRT, Scheme.TZF, Scheme.RZF)
+    ]
+
+
 def run_validation(cfg: ExperimentConfig) -> ValidationReport:
-    """End-to-end consistency suite: special functions, analytic-vs-Monte-
-    Carlo agreement, the survival-exponent resolution, diversity slopes, and
-    asymptotic ratios.  Check sizes scale with ``cfg.n_trials``.
+    """End-to-end consistency suite: the check table at sizes scaled by
+    ``cfg.n_trials``, the survival-exponent resolution, and reproducibility
+    across worker counts.
     """
     t_start = time.time()
     checks: list[ValidationCheck] = []
@@ -451,57 +549,31 @@ def run_validation(cfg: ExperimentConfig) -> ValidationReport:
     def add(name, measured, bound, passed, detail=""):
         checks.append(ValidationCheck(name, float(measured), float(bound), bool(passed), detail))
 
-    # --- special functions -------------------------------------------------
-    grid_a = [0.5, 1.0, 2.0, 3.5, 7.0]
-    grid_x = [0.0, 0.3, 1.0, 2.5, 10.0, 40.0]
-    err = max(
-        abs(reg_gamma_p(a, x) + reg_gamma_q(a, x) - 1.0) for a in grid_a for x in grid_x
+    complement, recurrence, tail, loop = _specfun_errors(
+        (0.5, 1.0, 2.0, 3.5, 7.0), (0.0, 0.3, 1.0, 2.5, 10.0, 40.0), (0.0, 0.4, 2.0)
     )
-    add("specfun_complement_identity", err, 1e-12, err <= 1e-12)
+    add("specfun_complement_identity", complement, 1e-12, complement <= 1e-12)
+    add("specfun_digamma_recurrence", recurrence, 1e-10, recurrence <= 1e-10)
+    add("specfun_tail_integral_closed_forms", tail, 1e-9, tail <= 1e-9)
+    add("loop_cdf_degenerate_branch", loop, 1e-14, loop <= 1e-14)
 
-    err = max(
-        abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) for x in (0.5, 1.0, 2.0, 7.3)
-    )
-    add("specfun_digamma_recurrence", err, 1e-10, err <= 1e-10)
-
-    err = 0.0
-    for a in range(1, 6):
-        closed = math.exp(-1.0) * sum(1.0 / math.factorial(k) for k in range(a))
-        closed *= math.factorial(a - 1)
-        got = integrate_semi_infinite(lambda u, a=a: u ** (a - 1) * math.exp(-u), 1.0)
-        err = max(err, abs(got - closed))
-    add("specfun_tail_integral_closed_forms", err, DEFAULT_QUADRATURE.abs_tol * 10,
-        err <= DEFAULT_QUADRATURE.abs_tol * 10)
-
-    err = max(
-        abs(meijer_special_cdf(t, 1) - (1.0 - math.exp(-t))) for t in (0.0, 0.4, 2.0)
-    )
-    add("loop_cdf_degenerate_branch", err, 1e-14, err <= 1e-14)
-
-    # --- Monte Carlo vs analytic CDFs -------------------------------------
-    mc_cases = [
-        ("tzf", Scheme.TZF, outage_tzf, 2, 2),
-        ("rzf", Scheme.RZF, outage_rzf, 3, 1),
-        ("mrc_case1", Scheme.MRC_MRT, outage_mrc_case1, 2, 1),
-        ("mrc_case2", Scheme.MRC_MRT, outage_mrc_case2, 1, 2),
-        ("hd", Scheme.HALF_DUPLEX, outage_hd, 2, 2),
-    ]
-    for name, scheme, fn, m_r, m_t in mc_cases:
-        p = _fig1_params(m_r, m_t, 10.0)
-        analytic = fn(OutageQuery(p, p.gamma_th))
-        est = estimate_outage(p, scheme, n_mc, cfg.seed, threads=cfg.threads)
-        bound = 3.0 * est.std_err + 1e-3
-        gap = abs(analytic - est.p_hat)
-        add(f"mc_vs_analytic_{name}", gap, bound, gap <= bound,
-            f"analytic={analytic:.5f} mc={est.p_hat:.5f} (m_r={m_r}, m_t={m_t})")
+    # --- Monte Carlo vs analytic CDFs: each CDF's worst comparison ---------
+    comparisons = _mc_vs_exact([(2, 2), (2, 1), (1, 2)], (10.0,), n_mc, cfg.seed, cfg.threads)
+    worst: dict[str, tuple] = {}
+    for label, m_r, m_t, _, analytic, est in comparisons:
+        gap, bound = abs(analytic - est.p_hat), 3.0 * est.std_err + 1e-3
+        if label not in worst or gap / bound > worst[label][0] / worst[label][1]:
+            worst[label] = (gap, bound, f"analytic={analytic:.5f} mc={est.p_hat:.5f} "
+                                        f"(m_r={m_r}, m_t={m_t})")
+    for label in ("tzf", "rzf", "mrc_case1", "mrc_case2", "hd"):
+        gap, bound, detail = worst[label]
+        add(f"mc_vs_analytic_{label}", gap, bound, gap <= bound, detail)
 
     # --- survival-exponent resolution for the m_t == 1 MRC/MRT case -------
-    p = _fig1_params(2, 1, 10.0)
-    q = OutageQuery(p, p.gamma_th)
-    primary = outage_mrc_case1(q)
+    _, m_r, m_t, _, primary, est = next(c for c in comparisons if c[0] == "mrc_case1")
+    p = _fig1_params(m_r, m_t, 10.0)
     # d2 = sigma2_li^(-1/tau) makes c3 == c2: the CDF with c2 in the exponent
-    alt = outage_mrc_case1(OutageQuery(replace(p, d2=p.sigma2_li ** (-1 / p.tau)), q.z))
-    est = estimate_outage(p, Scheme.MRC_MRT, n_mc, cfg.seed + 1, threads=cfg.threads)
+    alt = outage_mrc_case1(OutageQuery(replace(p, d2=p.sigma2_li ** (-1 / p.tau)), p.gamma_th))
     bound = 3.0 * est.std_err + 1e-3
     gap_primary = abs(primary - est.p_hat)
     gap_alt = abs(alt - est.p_hat)
@@ -510,55 +582,21 @@ def run_validation(cfg: ExperimentConfig) -> ValidationReport:
         gap_primary <= bound and gap_primary <= gap_alt,
         f"matched={matched}; primary gap {gap_primary:.2e} vs alternate {gap_alt:.2e}")
 
-    # --- diversity slopes (analytic CDFs, 35 -> 45 dB) ---------------------
-    def measured_slope(fn, m_r, m_t, log_corrected=False):
-        vals = []
-        for snr_db in (35.0, 45.0):
-            p = _fig1_params(m_r, m_t, 10.0 ** (snr_db / 10.0))
-            f_val = fn(OutageQuery(p, p.gamma_th))
-            if log_corrected:
-                f_val /= math.log(p.rho1)
-            vals.append(f_val)
-        return -(math.log10(vals[1]) - math.log10(vals[0]))
-
-    slope_cases = [
-        ("tzf_2_2", outage_tzf, 2, 2, diversity_order(Scheme.TZF, 2, 2), False),
-        ("tzf_3_2", outage_tzf, 3, 2, diversity_order(Scheme.TZF, 3, 2), False),
-        ("tzf_2_3_logmodel", outage_tzf, 2, 3, 2, True),
-        ("rzf_2_2", outage_rzf, 2, 2, diversity_order(Scheme.RZF, 2, 2), False),
-        ("rzf_3_1", outage_rzf, 3, 1, diversity_order(Scheme.RZF, 3, 1), False),
-    ]
-    for name, fn, m_r, m_t, order, logc in slope_cases:
-        slope = measured_slope(fn, m_r, m_t, logc)
-        gap = abs(slope - order)
-        add(f"diversity_slope_{name}", slope, 0.3, gap <= 0.3,
+    # --- diversity slopes and exact vs asymptotic ratios -------------------
+    slope_cases = {"tzf_2_2": (Scheme.TZF, 2, 2), "tzf_3_2": (Scheme.TZF, 3, 2),
+                   "tzf_2_3_logmodel": (Scheme.TZF, 2, 3),
+                   "rzf_2_2": (Scheme.RZF, 2, 2), "rzf_3_1": (Scheme.RZF, 3, 1)}
+    for name, (slope, order) in zip(slope_cases, _diversity_slopes(slope_cases.values())):
+        add(f"diversity_slope_{name}", slope, 0.3, abs(slope - order) <= 0.3,
             f"measured {slope:.3f} vs order {order}")
-
-    # --- exact vs asymptotic ratios at 40 dB -------------------------------
-    worst = 0.0
-    for m_r, m_t in ((2, 2), (2, 3), (3, 2)):
-        p = _fig1_params(m_r, m_t, 1e4)
-        q = OutageQuery(p, p.gamma_th)
-        worst = max(worst, abs(outage_tzf(q) / outage_tzf_asymptotic(q) - 1.0))
-    add("asymptotic_ratio_tzf", worst, 0.1, worst <= 0.1)
-    worst = 0.0
-    for m_r, m_t in ((3, 1), (2, 2), (4, 2)):
-        p = _fig1_params(m_r, m_t, 1e4)
-        q = OutageQuery(p, p.gamma_th)
-        worst = max(worst, abs(outage_rzf(q) / outage_rzf_asymptotic(q) - 1.0))
-    add("asymptotic_ratio_rzf", worst, 0.1, worst <= 0.1)
+    for scheme, pairs in ((Scheme.TZF, ((2, 2), (2, 3), (3, 2))),
+                          (Scheme.RZF, ((3, 1), (2, 2), (4, 2)))):
+        ratios = _asymptotic_ratios([(scheme, m_r, m_t) for m_r, m_t in pairs])
+        err = max(abs(r - 1.0) for r in ratios)
+        add(f"asymptotic_ratio_{scheme.value}", err, 0.1, err <= 0.1)
 
     # --- qualitative Monte Carlo properties -------------------------------
-    # Antennas chosen so the loop-interference floor of MRC/MRT sits far
-    # above the diversity-order-2 decay of TZF at these SNRs.
-    n_small = min(n_mc, 200_000)
-    n_floor = max(n_mc, 500_000)
-    p40 = _fig1_params(3, 3, 1e4)
-    p50 = _fig1_params(3, 3, 1e5)
-    mrc40 = estimate_outage(p40, Scheme.MRC_MRT, n_floor, cfg.seed, threads=cfg.threads)
-    mrc50 = estimate_outage(p50, Scheme.MRC_MRT, n_floor, cfg.seed, threads=cfg.threads)
-    tzf40 = estimate_outage(p40, Scheme.TZF, n_floor, cfg.seed, threads=cfg.threads)
-    tzf50 = estimate_outage(p50, Scheme.TZF, n_floor, cfg.seed, threads=cfg.threads)
+    mrc40, mrc50, tzf40, tzf50 = _mrc_floor(max(n_mc, 500_000), cfg.seed, cfg.threads)
     floor_ok = (
         mrc50.p_hat >= mrc40.p_hat - 3.0 * mrc40.std_err
         and mrc40.p_hat > tzf40.p_hat
@@ -567,20 +605,15 @@ def run_validation(cfg: ExperimentConfig) -> ValidationReport:
     add("mrc_outage_floor", mrc50.p_hat, mrc40.p_hat, floor_ok,
         f"mrc 40dB={mrc40.p_hat:.3e} 50dB={mrc50.p_hat:.3e}; tzf 40dB={tzf40.p_hat:.3e}")
 
-    p0 = _fig1_params(2, 2, 1.0)
-    mrc0 = estimate_outage(p0, Scheme.MRC_MRT, n_small, cfg.seed, threads=cfg.threads)
-    tzf0 = estimate_outage(p0, Scheme.TZF, n_small, cfg.seed, threads=cfg.threads)
-    rzf0 = estimate_outage(p0, Scheme.RZF, n_small, cfg.seed, threads=cfg.threads)
+    mrc0, tzf0, rzf0 = _low_snr_outages(min(n_mc, 200_000), cfg.seed, cfg.threads)
     cross_ok = mrc0.p_hat <= tzf0.p_hat and mrc0.p_hat <= rzf0.p_hat
     add("low_snr_mrc_advantage", mrc0.p_hat, min(tzf0.p_hat, rzf0.p_hat), cross_ok,
         f"mrc={mrc0.p_hat:.4f} tzf={tzf0.p_hat:.4f} rzf={rzf0.p_hat:.4f} at 0 dB")
 
     # --- reproducibility across worker counts ------------------------------
     p = _fig1_params(2, 2, 10.0)
-    estimates = [
-        estimate_outage(p, Scheme.TZF, 50_000, cfg.seed, threads=w).p_hat
-        for w in (1, 4, 16)
-    ]
+    estimates = [estimate_outage(p, Scheme.TZF, 50_000, cfg.seed, threads=w).p_hat
+                 for w in (1, 4, 16)]
     spread = max(estimates) - min(estimates)
     add("reproducibility_across_workers", spread, 0.0, spread == 0.0,
         f"p_hat by workers: {estimates}")

@@ -27,8 +27,6 @@ from .channel import SystemParams
 from .errors import WrongCaseError
 from .precoding import Scheme, check_feasible
 from .specfun import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
     digamma,
     integrate_semi_infinite,
     ln_gamma,
@@ -90,9 +88,7 @@ def _clip_prob(x: float) -> float:
     return float(np.clip(x, 0.0, 1.0))
 
 
-def _gamma_min_cdf(
-    m_first: int, m_second: int, lam: float, c: float, spec: QuadratureSpec
-) -> float:
+def _gamma_min_cdf(m_first: int, m_second: int, lam: float, c: float) -> float:
     """CDF at ``lam`` of W * min(1, V/c) with W ~ Gamma(m_first), V ~ Gamma(m_second).
 
     This is the common shape of the ZF-style outage integrals.  Evaluated in
@@ -109,11 +105,11 @@ def _gamma_min_cdf(
     def integrand(x: float) -> float:
         return reg_gamma_p(m_second, c * lam / x) * x ** (m_first - 1) * math.exp(-x)
 
-    tail = integrate_semi_infinite(integrand, lam, spec)
+    tail = integrate_semi_infinite(integrand, lam)
     return _clip_prob(reg_gamma_p(m_first, lam) + tail / norm)
 
 
-def outage_tzf(q: OutageQuery, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def outage_tzf(q: OutageQuery) -> float:
     """Exact outage of the transmit-ZF scheme.
 
     With the loop fully nulled on the transmit side, the second hop keeps an
@@ -124,7 +120,7 @@ def outage_tzf(q: OutageQuery, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> flo
     """
     p = q.params
     check_feasible(Scheme.TZF, p.m_r, p.m_t)
-    return _gamma_min_cdf(p.m_r, p.m_t - 1, q.lam, p.d2**p.tau / p.kappa, spec)
+    return _gamma_min_cdf(p.m_r, p.m_t - 1, q.lam, p.d2**p.tau / p.kappa)
 
 
 def outage_tzf_asymptotic(q: OutageQuery) -> float:
@@ -174,7 +170,7 @@ def outage_tzf_asymptotic(q: OutageQuery) -> float:
     return coeff * c ** (m_t - 1) * lam ** (m_t - 1)
 
 
-def outage_rzf(q: OutageQuery, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def outage_rzf(q: OutageQuery) -> float:
     """Exact outage of the receive-ZF scheme.
 
     The projected combiner keeps a Beta(m_r - 1, 1) share of the first-hop
@@ -198,8 +194,8 @@ def outage_rzf(q: OutageQuery, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> flo
     def integrand_q(x: float) -> float:
         return reg_gamma_q(p.m_t, c * lam / x) * math.exp(-x)
 
-    i_p = integrate_semi_infinite(integrand_p, lam, spec)
-    i_q = integrate_semi_infinite(integrand_q, lam, spec)
+    i_p = integrate_semi_infinite(integrand_p, lam)
+    i_q = integrate_semi_infinite(integrand_q, lam)
     value = reg_gamma_p(p.m_r, lam) + (i_p + lam ** (p.m_r - 1) * i_q) / norm
     return _clip_prob(value)
 
@@ -225,13 +221,17 @@ def outage_rzf_asymptotic(q: OutageQuery) -> float:
     return coeff * c**m_t * lam**m_t
 
 
-def _mrc_cdf(q: OutageQuery, spec: QuadratureSpec) -> float:
+def _mrc_cdf(q: OutageQuery) -> float:
     """MRC/MRT outage when m_t == 1 or m_r == 1; one integrand serves both.
 
-        F(z) = 1 - int_{z/c1}^inf F_loop((c1 x/z - 1)/(c2 x)) Q(m_t, z/(c3 x))
-                   x^(m_r-1) e^-x / Gamma(m_r) dx
+    Outage is a first-hop gain x below z/c1, a loop pickup above
+    u(x) = (c1 x/z - 1)/(c2 x), or a pickup below it and a short second hop:
+
+        F(z) = P(m_r, z/c1) + int_{z/c1}^inf [e^-u + F_loop(u) P(m_t, z/(c3 x))]
+                                  x^(m_r-1) e^-x / Gamma(m_r) dx
 
     with F_loop the Exp(1) CDF of the loop pickup (``meijer_special_cdf``).
+    Every term is positive, so a deep-tail outage keeps its relative accuracy.
     """
     p = q.params
     c1, c2, c3 = link_coefficients(p)
@@ -239,17 +239,19 @@ def _mrc_cdf(q: OutageQuery, spec: QuadratureSpec) -> float:
 
     def integrand(x: float) -> float:
         if c2 == 0.0:
-            keep = 1.0
+            loop_fails, loop_holds = 0.0, 1.0
         else:
-            # max() guards endpoint rounding: the argument is >= 0 on x >= z/c1
-            keep = meijer_special_cdf(max(c1 * x / q.z - 1.0, 0.0) / (c2 * x), p.m_r)
-        survive = reg_gamma_q(p.m_t, q.z / (c3 * x))
-        return keep * survive * x ** (p.m_r - 1) * math.exp(-x) / norm
+            # max() guards endpoint rounding: u >= 0 on x >= z/c1
+            u = max(c1 * x / q.z - 1.0, 0.0) / (c2 * x)
+            loop_fails, loop_holds = math.exp(-u), meijer_special_cdf(u, p.m_r)
+        fails = loop_fails + loop_holds * reg_gamma_p(p.m_t, q.z / (c3 * x))
+        return fails * x ** (p.m_r - 1) * math.exp(-x) / norm
 
-    return _clip_prob(1.0 - integrate_semi_infinite(integrand, q.z / c1, spec))
+    lower = q.z / c1
+    return _clip_prob(reg_gamma_p(p.m_r, lower) + integrate_semi_infinite(integrand, lower))
 
 
-def outage_mrc_case1(q: OutageQuery, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def outage_mrc_case1(q: OutageQuery) -> float:
     """Exact MRC/MRT outage for the single-transmit-antenna regime (m_t == 1).
 
     Conditioned on the first-hop gain y, the link survives when the matched
@@ -260,26 +262,23 @@ def outage_mrc_case1(q: OutageQuery, spec: QuadratureSpec = DEFAULT_QUADRATURE) 
     p = q.params
     if p.m_t != 1:
         raise WrongCaseError("this MRC/MRT case needs m_t == 1")
-    return _mrc_cdf(q, spec)
+    return _mrc_cdf(q)
 
 
-def outage_mrc_case2(q: OutageQuery, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def outage_mrc_case2(q: OutageQuery) -> float:
     """Exact MRC/MRT outage for the single-receive-antenna regime (m_r == 1).
 
     Here the scalar first hop fights an Exp(1) loop pickup (variance folded
     into c2) while the second hop keeps the full m_t-dimensional matched
-    gain:
-
-        F(z) = 1 - int_{z/c1}^inf (1 - e^{-(c1 x/z - 1)/(c2 x)})
-                   Q(m_t, z/(c3 x)) e^-x dx.
+    gain; ``_mrc_cdf`` holds the integral.
     """
     p = q.params
     if p.m_r != 1:
         raise WrongCaseError("this MRC/MRT case needs m_r == 1")
-    return _mrc_cdf(q, spec)
+    return _mrc_cdf(q)
 
 
-def outage_hd(q: OutageQuery, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def outage_hd(q: OutageQuery) -> float:
     """Exact outage of the half-duplex baseline.
 
     Structurally the transmit-ZF CDF with the second-hop order raised from
@@ -290,7 +289,7 @@ def outage_hd(q: OutageQuery, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> floa
                    x^(m_r-1) e^-x / Gamma(m_r) dx.
     """
     p = q.params
-    return _gamma_min_cdf(p.m_r, p.m_t, q.lam, p.d2**p.tau / (2.0 * p.kappa), spec)
+    return _gamma_min_cdf(p.m_r, p.m_t, q.lam, p.d2**p.tau / (2.0 * p.kappa))
 
 
 def diversity_order(scheme: Scheme, m_r: int, m_t: int) -> int:

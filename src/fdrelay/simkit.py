@@ -55,6 +55,7 @@ _CHUNK = 8192
 MC_SEARCH = OptimalSearchSpec(t_grid_points=17, refine_iters=14)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_ITERS = 20  # golden-section probes after the first two
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,6 @@ def estimate_outage(
     seed: int,
     *,
     threads: int = 1,
-    search: OptimalSearchSpec = MC_SEARCH,
     stream: int = 0,
 ) -> OutageEstimate:
     """Monte Carlo outage probability Pr(gamma < gamma_th).
@@ -158,7 +158,7 @@ def estimate_outage(
         hsr, hrd, hrr = _chunk_channels(params, key, chunk_idx)
         keep = min(_CHUNK, n_trials - chunk_idx * _CHUNK)
         gamma = _sinr_batch(
-            params, scheme, hsr[:keep], hrd[:keep], hrr[:keep], search
+            params, scheme, hsr[:keep], hrd[:keep], hrr[:keep], MC_SEARCH
         )
         return int(np.count_nonzero(gamma < params.gamma_th))
 
@@ -223,7 +223,6 @@ def _eval_point(
     seed: int,
     stream: int,
     threads: int,
-    search: OptimalSearchSpec,
     outage_fn: OutageFn | None,
 ) -> ThroughputPoint:
     p_alpha = params_at_alpha(params, alpha, threshold_mode)
@@ -232,8 +231,7 @@ def _eval_point(
         outage = outage_fn(p_alpha, scheme)
     else:
         est = estimate_outage(
-            p_alpha, scheme, n_trials, seed, threads=threads, search=search,
-            stream=stream,
+            p_alpha, scheme, n_trials, seed, threads=threads, stream=stream,
         )
         outage, std_err = est.p_hat, est.std_err
     return ThroughputPoint(
@@ -252,10 +250,8 @@ def search_alpha(
     n_trials: int,
     seed: int,
     *,
-    refine_iters: int = 20,
     threshold_mode: str = "fixed",
     threads: int = 1,
-    search: OptimalSearchSpec = MC_SEARCH,
     outage_fn: OutageFn | None = None,
 ) -> AlphaSearch:
     """Evaluate R(alpha) on ``alphas``, then refine around the best point.
@@ -277,7 +273,7 @@ def search_alpha(
         nonlocal stream, best
         point = _eval_point(
             params, scheme, alpha, threshold_mode, n_trials, seed, stream,
-            threads, search, outage_fn,
+            threads, outage_fn,
         )
         stream += 1
         if _better(point, best):
@@ -296,7 +292,7 @@ def search_alpha(
     x2 = lo + _GOLDEN * (hi - lo)
     f1 = probe(x1)
     f2 = probe(x2)
-    for _ in range(refine_iters):
+    for _ in range(_REFINE_ITERS):
         if f1.throughput < f2.throughput:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
@@ -315,10 +311,8 @@ def optimize_alpha(
     grid: int = 33,
     seed: int = 0,
     *,
-    refine_iters: int = 20,
     threshold_mode: str = "fixed",
     threads: int = 1,
-    search: OptimalSearchSpec = MC_SEARCH,
     outage_fn: OutageFn | None = None,
 ) -> ThroughputPoint:
     """Maximize the delay-constrained throughput over the harvesting split.
@@ -332,6 +326,5 @@ def optimize_alpha(
     alphas = [(i + 1) / (grid + 1) for i in range(grid)]
     return search_alpha(
         params, scheme, alphas, n_trials, seed,
-        refine_iters=refine_iters, threshold_mode=threshold_mode,
-        threads=threads, search=search, outage_fn=outage_fn,
+        threshold_mode=threshold_mode, threads=threads, outage_fn=outage_fn,
     ).best

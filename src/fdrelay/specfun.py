@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import integrate, special
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
     "QuadratureConvergenceError",
     "ln_gamma",
     "reg_gamma_p",
@@ -29,26 +26,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for the adaptive quadrature of semi-infinite tail integrals.
-
-    The defaults are deliberately tighter than any Monte Carlo resolution used
-    for validation, so quadrature error never dominates a comparison.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# Tolerances of the tail quadrature, deliberately tighter than any Monte Carlo
+# resolution used for validation, so quadrature error never dominates a
+# comparison.
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-8
+_MAX_SUBDIVISIONS = 200
 
 # Integrand-to-peak ratio below which the exponential tail is truncated.
 _TAIL_EPS = 1e-16
@@ -151,42 +134,34 @@ def _scale_ladder(lower: float, upper: float) -> list[float]:
     return [float(p) for p in pts if lower < p < upper]
 
 
-def integrate_semi_infinite(
-    f: Callable[[float], float],
-    lower: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def integrate_semi_infinite(f: Callable[[float], float], lower: float) -> float:
     """Integrate ``f`` over ``[lower, inf)`` for exponentially decaying integrands.
 
     The infinite interval is truncated where the envelope falls below
     ``1e-16`` of the integrand's peak, then handed to adaptive Gauss-Kronrod
     quadrature with forced panel boundaries on a geometric scale ladder.
     Raises :class:`QuadratureConvergenceError` (carrying the best available
-    estimate) if the tolerance cannot be met within
-    ``spec.max_subdivisions`` subdivisions.
+    estimate) if the tolerance cannot be met within ``_MAX_SUBDIVISIONS``
+    subdivisions.
     """
     upper = _tail_cutoff(f, lower)
     if upper is None:
         return 0.0
     ladder = _scale_ladder(lower, upper)
-    if spec.max_subdivisions < 2 * len(ladder):
-        ladder = ladder[:: max(1, len(ladder) // max(spec.max_subdivisions // 2, 1))]
-        if spec.max_subdivisions < 2 * len(ladder):
-            ladder = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         out = integrate.quad(
             f,
             lower,
             upper,
-            epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
+            epsabs=_ABS_TOL,
+            epsrel=_REL_TOL,
+            limit=_MAX_SUBDIVISIONS,
             points=ladder or None,
             full_output=1,
         )
     result, abserr = float(out[0]), float(out[1])
-    if len(out) > 3 and abserr > max(spec.abs_tol, spec.rel_tol * abs(result)):
+    if len(out) > 3 and abserr > max(_ABS_TOL, _REL_TOL * abs(result)):
         raise QuadratureConvergenceError(
             f"quadrature on [{lower}, {upper}] did not converge: {out[3]}",
             estimate=result,

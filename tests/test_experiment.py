@@ -18,6 +18,13 @@ from fdrelay.precoding import Scheme
 from helpers import make_params
 
 
+# Sweep axes that must fail at config load, not inside a sweep.
+BAD_SWEEPS = (
+    {"snr_db": 5}, {"snr_db": ["abc"]}, {"snr_db": [None]},
+    {"snr_db": [float("inf")]}, {"threshold_db": [True]},
+)
+
+
 def base_config(**overrides) -> ExperimentConfig:
     data = {
         "params": make_params(2, 2).to_dict(),
@@ -63,9 +70,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             base_config(unknown_field=1)
         for grid in ({"values": [0.5, 1.5]}, {"values": [0.0, 0.5]},
-                     {"values": [float("nan")]}, {"points": 2.5}, {"points": -3}):
+                     {"values": [float("nan")]}, {"points": 2.5}, {"points": -3},
+                     {"points": True}):
             with pytest.raises(ConfigError):
                 base_config(sweep={"alpha": grid})
+        for sweep in BAD_SWEEPS:
+            with pytest.raises(ConfigError):
+                base_config(sweep=sweep)
+        for n in (0, -5):
+            with pytest.raises(ConfigError, match="n_trials_optimal"):
+                base_config(n_trials_optimal=n)
 
     def test_integer_and_bool_fields_are_strict(self):
         for name, value in (("n_trials", 2000.7), ("seed", 1.9), ("threads", 1.5),
@@ -247,6 +261,13 @@ class TestOutputsAndCli:
         fractional = {**base_config().to_dict(), "n_trials": 2000.7}
         bad.write_text(json.dumps(fractional))
         assert cli_main(["outage", "--config", str(bad)]) == 2
+        for override in (*({"sweep": sweep} for sweep in BAD_SWEEPS),
+                         {"n_trials_optimal": 0}, {"n_trials_optimal": -5}):
+            bad.write_text(json.dumps({**base_config().to_dict(), **override}))
+            assert cli_main(["outage", "--config", str(bad)]) == 2, override
+        alpha["sweep"] = {"alpha": {"points": True}}
+        bad.write_text(json.dumps(alpha))
+        assert cli_main(["throughput", "--config", str(bad)]) == 2
 
     def test_cli_throughput(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -264,14 +285,36 @@ class TestOutputsAndCli:
         assert sum("summary" in line for line in lines) == 2  # tzf + hd
 
 
+CHECK_NAMES = [
+    "specfun_complement_identity",
+    "specfun_digamma_recurrence",
+    "specfun_tail_integral_closed_forms",
+    "loop_cdf_degenerate_branch",
+    "mc_vs_analytic_tzf",
+    "mc_vs_analytic_rzf",
+    "mc_vs_analytic_mrc_case1",
+    "mc_vs_analytic_mrc_case2",
+    "mc_vs_analytic_hd",
+    "eq23_exponent_resolution",
+    "diversity_slope_tzf_2_2",
+    "diversity_slope_tzf_3_2",
+    "diversity_slope_tzf_2_3_logmodel",
+    "diversity_slope_rzf_2_2",
+    "diversity_slope_rzf_3_1",
+    "asymptotic_ratio_tzf",
+    "asymptotic_ratio_rzf",
+    "mrc_outage_floor",
+    "low_snr_mrc_advantage",
+    "reproducibility_across_workers",
+]
+
+
 class TestValidation:
     def test_report_contents_and_exit(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         cfg = base_config(output_path=str(out), n_trials=120_000)
         report = run_validation(cfg)
-        names = {c.name for c in report.checks}
-        assert "eq23_exponent_resolution" in names
-        assert any(n.startswith("diversity_slope_") for n in names)
+        assert [c.name for c in report.checks] == CHECK_NAMES
         assert report.passed
         # the survival-exponent check must state which coefficient matched
         eq23 = next(c for c in report.checks if c.name == "eq23_exponent_resolution")
@@ -279,7 +322,7 @@ class TestValidation:
         report.to_json(out)
         doc = json.loads(out.read_text())
         assert doc["passed"] is True
-        assert {c["name"] for c in doc["checks"]} == names
+        assert [c["name"] for c in doc["checks"]] == CHECK_NAMES
         # spec bound: the default validation run stays well under ten minutes
         assert report.elapsed_s < 600.0
 

@@ -1,4 +1,5 @@
-"""Property tests: the top-eigenvector kernel and optimal-search dominance."""
+"""Property tests: the top-eigenvector kernel, optimal-search dominance and
+the rotation invariance of every scheme's SINR."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fdrelay import Scheme, e2e_sinr, mrc_mrt, optimal, rzf, sample_channel, tzf
+from fdrelay import (
+    ChannelRealization,
+    Scheme,
+    e2e_sinr,
+    hd_snr,
+    mrc_mrt,
+    optimal,
+    rzf,
+    sample_channel,
+    tzf,
+)
 from fdrelay.errors import InfeasibleSchemeError
 from fdrelay.precoding import _optimal_wt_batch, _top_eig_rank_one
 
@@ -84,3 +95,41 @@ def test_optimal_dominates_and_wrapper_matches_batch(m_r, m_t, seed, sigma2_li, 
             except InfeasibleSchemeError:
                 continue
             assert g_opt >= e2e_sinr(ch, params, pair).e2e - 1e-6, scheme
+
+
+def _unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _scheme_sinr(ch, params, scheme: Scheme) -> float:
+    if scheme is Scheme.HALF_DUPLEX:
+        return hd_snr(ch, params)
+    if scheme is Scheme.OPTIMAL:
+        return e2e_sinr(ch, params, optimal(ch, params)).e2e
+    return e2e_sinr(ch, params, _CLOSED_FORM[scheme](ch)).e2e
+
+
+@pytest.mark.parametrize("m_r", range(1, 7))
+@pytest.mark.parametrize("m_t", range(1, 7))
+@settings(PROPERTY, max_examples=3)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sigma2_li=st.sampled_from([0.0, 0.03, 0.3, 3.0]),
+    p_s=st.sampled_from([1.0, 10.0, 100.0]),
+)
+def test_sinr_is_invariant_under_relay_rotations(m_r, m_t, seed, sigma2_li, p_s):
+    # Unitary U on the receive side and V on the transmit side map
+    # (h_sr, h_rd, H_rr) to (U h_sr, V^T h_rd, U H_rr V); every design rotates
+    # along (w_r U^H, V^H w_t), so no SINR may move.
+    params = make_params(m_r, m_t, p_s, sigma2_li=sigma2_li)
+    rng = np.random.default_rng(seed)
+    ch = sample_channel(params, rng)
+    u, v = _unitary(rng, m_r), _unitary(rng, m_t)
+    rotated = ChannelRealization(u @ ch.h_sr, v.T @ ch.h_rd, u @ ch.h_rr @ v)
+    for scheme in Scheme:
+        try:
+            before = _scheme_sinr(ch, params, scheme)
+        except InfeasibleSchemeError:
+            continue
+        assert _scheme_sinr(rotated, params, scheme) == pytest.approx(before, rel=1e-9), scheme

@@ -268,7 +268,6 @@ class TestOptimizeAlpha:
 
             found = search_alpha(
                 params, Scheme.TZF, alphas, n_trials=1, seed=0, outage_fn=oracle,
-                refine_iters=2,
             )
             lo = max(alphas[peak] - step, step / 2.0)
             hi = min(alphas[peak] + step, 1.0 - step / 2.0)
@@ -277,7 +276,7 @@ class TestOptimizeAlpha:
     def test_throughput_point_invariant(self):
         params = make_params(2, 2)
         point = optimize_alpha(
-            params, Scheme.HALF_DUPLEX, 20_000, grid=9, seed=4, refine_iters=6,
+            params, Scheme.HALF_DUPLEX, 20_000, grid=9, seed=4,
         )
         assert point.throughput == pytest.approx(
             0.5 * (1.0 - point.outage) * params.r_c * (1.0 - point.alpha), rel=1e-12

@@ -7,15 +7,14 @@ import pytest
 from scipy import special as sp
 
 from fdrelay import (
-    DEFAULT_QUADRATURE,
     QuadratureConvergenceError,
-    QuadratureSpec,
     digamma,
     integrate_semi_infinite,
     ln_gamma,
     meijer_special_cdf,
     reg_gamma_p,
     reg_gamma_q,
+    specfun,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -189,7 +188,7 @@ class TestSemiInfiniteQuadrature:
                 got = integrate_semi_infinite(
                     lambda u, a=a: u ** (a - 1) * math.exp(-u), lower
                 )
-                assert got == pytest.approx(closed, abs=DEFAULT_QUADRATURE.abs_tol * 10)
+                assert got == pytest.approx(closed, abs=1e-9)
 
     def test_zero_integrand(self):
         assert integrate_semi_infinite(lambda u: 0.0, 3.0) == 0.0
@@ -203,18 +202,12 @@ class TestSemiInfiniteQuadrature:
         )
         assert got == pytest.approx(math.exp(-eps) / (1.0 + eps), rel=1e-6)
 
-    def test_convergence_error_carries_estimate(self):
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=5)
+    def test_convergence_error_carries_estimate(self, monkeypatch):
+        # A few subdivisions beyond the scale ladder's panels cannot resolve
+        # some 1500 slowly decaying oscillations.
+        monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", 40)
         with pytest.raises(QuadratureConvergenceError) as err:
             integrate_semi_infinite(
-                lambda u: math.cos(3.0 * u) * math.exp(-u / 50.0), 0.0, spec
+                lambda u: math.cos(3.0 * u) * math.exp(-u / 50.0), 0.0
             )
         assert math.isfinite(err.value.estimate)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
