@@ -16,7 +16,7 @@ from fdrelay import (
     Scheme,
     SystemParams,
     estimate_outage,
-    outage_mrc_case1,
+    outage_mrc_mrt,
     outage_rzf,
     outage_rzf_asymptotic,
     outage_tzf,
@@ -33,7 +33,7 @@ CURVES = [
     # (label, scheme, antennas, analytic fn, asymptotic fn)
     ("TZF 2x2", Scheme.TZF, (2, 2), outage_tzf, outage_tzf_asymptotic),
     ("RZF 3x1", Scheme.RZF, (3, 1), outage_rzf, outage_rzf_asymptotic),
-    ("MRC/MRT 2x1", Scheme.MRC_MRT, (2, 1), outage_mrc_case1, None),
+    ("MRC/MRT 2x2", Scheme.MRC_MRT, (2, 2), outage_mrc_mrt, None),
 ]
 
 SNR_DB = [0, 5, 10, 15, 20, 25, 30, 35, 40]

@@ -15,8 +15,7 @@ from .outage import (
     diversity_order,
     link_coefficients,
     outage_hd,
-    outage_mrc_case1,
-    outage_mrc_case2,
+    outage_mrc_mrt,
     outage_rzf,
     outage_rzf_asymptotic,
     outage_tzf,
@@ -64,8 +63,7 @@ __all__ = [
     "outage_tzf_asymptotic",
     "outage_rzf",
     "outage_rzf_asymptotic",
-    "outage_mrc_case1",
-    "outage_mrc_case2",
+    "outage_mrc_mrt",
     "outage_hd",
     "diversity_order",
     "OutageEstimate",

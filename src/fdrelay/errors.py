@@ -9,9 +9,5 @@ class InfeasibleSchemeError(ValueError):
     """The scheme cannot be realized with the given antenna counts."""
 
 
-class WrongCaseError(ValueError):
-    """An analytic special case was called outside its antenna regime."""
-
-
 class ConfigError(ValueError):
     """The experiment configuration is malformed or inconsistent."""

@@ -6,7 +6,7 @@ header block recording the config hash, seed and tool version, plus an
 optional JSON mirror; rows are emitted in a deterministic order so reruns
 are byte-identical.
 
-``_exact_cdf`` alone maps a scheme and antenna pair to its analytic CDFs.
+``_exact_cdf`` alone maps a scheme and antenna pair to its analytic CDF.
 ``run_validation`` and the acceptance suite read one check table of
 measurements, each with its own sizes and bounds.
 """
@@ -31,8 +31,7 @@ from .outage import (
     OutageQuery,
     diversity_order,
     outage_hd,
-    outage_mrc_case1,
-    outage_mrc_case2,
+    outage_mrc_mrt,
     outage_rzf,
     outage_rzf_asymptotic,
     outage_tzf,
@@ -57,6 +56,11 @@ __all__ = [
     "run_throughput_sweep",
     "run_validation",
 ]
+
+# The benchmark's trace hooks (perfbench/fdbench/trace.py) wrap these two
+# names; nothing in fdrelay calls them.  Delete them once those hooks wrap
+# outage_mrc_mrt instead.
+outage_mrc_case1 = outage_mrc_case2 = outage_mrc_mrt
 
 _OUTPUT_KINDS = ("monte_carlo", "analytic", "asymptotic")
 _THRESHOLD_MODES = ("fixed", "rate_coupled")
@@ -116,11 +120,13 @@ class ExperimentConfig:
         grid = self.sweep[kind]
         if kind != "alpha":
             _numbers(f"sweep list {kind!r}", grid)
-        elif not (isinstance(grid, dict) and (grid.get("points") or grid.get("values"))):
+        elif not (isinstance(grid, dict) and len(grid) == 1
+                  and set(grid) <= {"points", "values"}):
             raise ConfigError(
-                'alpha sweep needs {"alpha": {"points": N}} or {"values": [...]}'
+                'alpha sweep needs exactly one of {"points": N} or {"values": [...]}, '
+                f"got {grid!r}"
             )
-        elif grid.get("values"):
+        elif "values" in grid:
             if not all(0.0 < a < 1.0 for a in _numbers("alpha sweep values", grid["values"])):
                 raise ConfigError(
                     f"alpha sweep values must lie in (0, 1), got {grid['values']!r}"
@@ -132,9 +138,10 @@ class ExperimentConfig:
 
     def sweep_kind(self) -> str:
         kinds = [k for k in ("snr_db", "alpha", "threshold_db") if k in self.sweep]
-        if len(kinds) != 1:
+        if len(kinds) != 1 or len(self.sweep) != 1:
             raise ConfigError(
-                "sweep must contain exactly one of snr_db / alpha / threshold_db"
+                "sweep must contain exactly one of snr_db / alpha / threshold_db "
+                f"and nothing else, got keys {list(self.sweep)}"
             )
         return kinds[0]
 
@@ -148,7 +155,7 @@ class ExperimentConfig:
 
     def alpha_grid(self) -> list[float]:
         grid = self.sweep["alpha"]
-        if grid.get("values"):
+        if "values" in grid:
             return [float(a) for a in grid["values"]]
         pts = int(grid["points"])
         return [(i + 1) / (pts + 1) for i in range(pts)]
@@ -275,26 +282,20 @@ def _is_feasible(scheme: Scheme, m_r: int, m_t: int) -> bool:
     return True
 
 
-def _exact_cdf(scheme: Scheme, m_r: int, m_t: int) -> list[tuple[str, Callable]]:
-    """Every (label, analytic outage CDF) of ``scheme`` at (m_r, m_t).
+def _exact_cdf(scheme: Scheme, m_r: int, m_t: int) -> tuple[str, Callable] | None:
+    """The (label, analytic outage CDF) of ``scheme`` at (m_r, m_t), or None
+    when the pair is infeasible or the scheme (optimal) has no analytic CDF.
 
-    A single-antenna relay lies in both MRC/MRT regimes and gets both CDFs.
     The ``outage_*`` names are looked up at call time.
     """
     if not _is_feasible(scheme, m_r, m_t):
-        return []
-    if scheme is Scheme.TZF:
-        return [("tzf", outage_tzf)]
-    if scheme is Scheme.RZF:
-        return [("rzf", outage_rzf)]
-    if scheme is Scheme.HALF_DUPLEX:
-        return [("hd", outage_hd)]
-    cdfs = []
-    if scheme is Scheme.MRC_MRT and m_t == 1:
-        cdfs.append(("mrc_case1", outage_mrc_case1))
-    if scheme is Scheme.MRC_MRT and m_r == 1:
-        cdfs.append(("mrc_case2", outage_mrc_case2))
-    return cdfs
+        return None
+    return {
+        Scheme.TZF: ("tzf", outage_tzf),
+        Scheme.RZF: ("rzf", outage_rzf),
+        Scheme.MRC_MRT: ("mrc_mrt", outage_mrc_mrt),
+        Scheme.HALF_DUPLEX: ("hd", outage_hd),
+    }.get(scheme)
 
 
 def _asymptotic_outage(params: SystemParams, scheme: Scheme) -> float | None:
@@ -353,8 +354,8 @@ def run_outage_sweep(cfg: ExperimentConfig) -> SweepResult:
                     row["p_out"] = est.p_hat
                     row["std_err"] = est.std_err
                 elif out_kind == "analytic":
-                    cdfs = _exact_cdf(scheme, p.m_r, p.m_t)
-                    row["analytic"] = cdfs[0][1](OutageQuery(p, p.gamma_th)) if cdfs else None
+                    exact = _exact_cdf(scheme, p.m_r, p.m_t)
+                    row["analytic"] = exact[1](OutageQuery(p, p.gamma_th)) if exact else None
                 else:
                     row["asymptotic"] = _asymptotic_outage(p, scheme)
                 rows.append(row)
@@ -476,18 +477,21 @@ def _specfun_errors(gamma_a, gamma_x, loop_t) -> tuple[float, float, float, floa
 
 def _mc_vs_exact(pairs, snrs_db, n_trials: int, seed: int, threads: int) -> list[tuple]:
     """(label, m_r, m_t, snr_db, analytic, Monte Carlo estimate) for every
-    analytic CDF of every feasible (scheme, pair) at every SNR, in that
-    nesting order; comparison i draws from substream i.
+    (scheme, pair) with an analytic CDF at every SNR, in that nesting order;
+    comparison i draws from substream i.
     """
     out: list[tuple] = []
     for m_r, m_t in pairs:
         for scheme in Scheme:
-            for label, cdf in _exact_cdf(scheme, m_r, m_t):
-                for snr_db in snrs_db:
-                    p = _fig1_params(m_r, m_t, 10.0 ** (snr_db / 10.0))
-                    est = estimate_outage(p, scheme, n_trials, seed, threads=threads,
-                                          stream=len(out))
-                    out.append((label, m_r, m_t, snr_db, cdf(OutageQuery(p, p.gamma_th)), est))
+            exact = _exact_cdf(scheme, m_r, m_t)
+            if exact is None:
+                continue
+            label, cdf = exact
+            for snr_db in snrs_db:
+                p = _fig1_params(m_r, m_t, 10.0 ** (snr_db / 10.0))
+                est = estimate_outage(p, scheme, n_trials, seed, threads=threads,
+                                      stream=len(out))
+                out.append((label, m_r, m_t, snr_db, cdf(OutageQuery(p, p.gamma_th)), est))
     return out
 
 
@@ -495,7 +499,7 @@ def _asymptotic_ratios(cases) -> list[float]:
     """Exact over asymptotic outage at 40 dB for each ZF (scheme, m_r, m_t)."""
     ratios = []
     for scheme, m_r, m_t in cases:
-        (_, cdf), = _exact_cdf(scheme, m_r, m_t)
+        _, cdf = _exact_cdf(scheme, m_r, m_t)
         p = _fig1_params(m_r, m_t, 1e4)
         ratios.append(cdf(OutageQuery(p, p.gamma_th)) / _asymptotic_outage(p, scheme))
     return ratios
@@ -508,7 +512,7 @@ def _diversity_slopes(cases) -> list[tuple[float, int]]:
     """
     slopes = []
     for scheme, m_r, m_t in cases:
-        (_, cdf), = _exact_cdf(scheme, m_r, m_t)
+        _, cdf = _exact_cdf(scheme, m_r, m_t)
         balanced = scheme is Scheme.TZF and m_t == m_r + 1
         logs = []
         for rho in (10.0**3.5, 10.0**4.5):
@@ -565,15 +569,17 @@ def run_validation(cfg: ExperimentConfig) -> ValidationReport:
         if label not in worst or gap / bound > worst[label][0] / worst[label][1]:
             worst[label] = (gap, bound, f"analytic={analytic:.5f} mc={est.p_hat:.5f} "
                                         f"(m_r={m_r}, m_t={m_t})")
-    for label in ("tzf", "rzf", "mrc_case1", "mrc_case2", "hd"):
+    for label in ("tzf", "rzf", "mrc_mrt", "hd"):
         gap, bound, detail = worst[label]
         add(f"mc_vs_analytic_{label}", gap, bound, gap <= bound, detail)
 
-    # --- survival-exponent resolution for the m_t == 1 MRC/MRT case -------
-    _, m_r, m_t, _, primary, est = next(c for c in comparisons if c[0] == "mrc_case1")
+    # --- survival-exponent resolution for the m_t == 1 MRC/MRT comparison --
+    _, m_r, m_t, _, primary, est = next(
+        c for c in comparisons if c[0] == "mrc_mrt" and c[2] == 1
+    )
     p = _fig1_params(m_r, m_t, 10.0)
     # d2 = sigma2_li^(-1/tau) makes c3 == c2: the CDF with c2 in the exponent
-    alt = outage_mrc_case1(OutageQuery(replace(p, d2=p.sigma2_li ** (-1 / p.tau)), p.gamma_th))
+    alt = outage_mrc_mrt(OutageQuery(replace(p, d2=p.sigma2_li ** (-1 / p.tau)), p.gamma_th))
     bound = 3.0 * est.std_err + 1e-3
     gap_primary = abs(primary - est.p_hat)
     gap_alt = abs(alt - est.p_hat)

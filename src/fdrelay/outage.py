@@ -9,11 +9,9 @@ over the source-relay channel gain.  The recurring normalized threshold is
 High-SNR approximations expose the diversity orders: min(m_r, m_t - 1) for
 transmit ZF and min(m_r - 1, m_t) for receive ZF.  The MRC/MRT scheme keeps
 loop interference that grows with the harvested power, so it has no diversity
-order (its outage floors out); only its two tractable antenna regimes
-(m_t == 1 and m_r == 1) admit analytic CDFs.  Both share one integrand: the
-matched combiner's loop pickup is Beta(1, m_r - 1) x Gamma(m_r, 1) = Exp(1)
-for every m_r, and Q(1, a) = e^-a turns the m_r == 1 second-hop factor
-Q(m_t, .) into the m_t == 1 exponential.
+order (its outage floors out).  Its CDF is exact at every antenna pair: the
+matched w_r and w_t are unit vectors independent of H_rr, so the loop pickup
+|w_r H_rr w_t|^2 is Exp(1) for every (m_r, m_t).
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemParams
-from .errors import WrongCaseError
 from .precoding import Scheme, check_feasible
 from .specfun import (
     digamma,
@@ -42,8 +39,7 @@ __all__ = [
     "outage_tzf_asymptotic",
     "outage_rzf",
     "outage_rzf_asymptotic",
-    "outage_mrc_case1",
-    "outage_mrc_case2",
+    "outage_mrc_mrt",
     "outage_hd",
     "diversity_order",
 ]
@@ -70,7 +66,7 @@ class OutageQuery:
 
 
 def link_coefficients(params: SystemParams) -> tuple[float, float, float]:
-    """Scalar link coefficients (c1, c2, c3) used by the MRC/MRT special cases.
+    """Scalar link coefficients (c1, c2, c3) of the MRC/MRT outage.
 
     c1 scales the first-hop SNR, c2 the loop interference (it carries the
     per-entry loop variance, so the interference variate stays unit mean),
@@ -221,8 +217,8 @@ def outage_rzf_asymptotic(q: OutageQuery) -> float:
     return coeff * c**m_t * lam**m_t
 
 
-def _mrc_cdf(q: OutageQuery) -> float:
-    """MRC/MRT outage when m_t == 1 or m_r == 1; one integrand serves both.
+def outage_mrc_mrt(q: OutageQuery) -> float:
+    """Exact outage of the MRC/MRT scheme at every antenna pair.
 
     Outage is a first-hop gain x below z/c1, a loop pickup above
     u(x) = (c1 x/z - 1)/(c2 x), or a pickup below it and a short second hop:
@@ -230,8 +226,10 @@ def _mrc_cdf(q: OutageQuery) -> float:
         F(z) = P(m_r, z/c1) + int_{z/c1}^inf [e^-u + F_loop(u) P(m_t, z/(c3 x))]
                                   x^(m_r-1) e^-x / Gamma(m_r) dx
 
-    with F_loop the Exp(1) CDF of the loop pickup (``meijer_special_cdf``).
-    Every term is positive, so a deep-tail outage keeps its relative accuracy.
+    with F_loop the Exp(1) CDF of the loop pickup (``meijer_special_cdf``) and
+    x the Gamma(m_r) first-hop gain; the second-hop factor carries c3, the
+    second-hop coefficient.  Every term is positive, so a deep-tail outage
+    keeps its relative accuracy.
     """
     p = q.params
     c1, c2, c3 = link_coefficients(p)
@@ -249,33 +247,6 @@ def _mrc_cdf(q: OutageQuery) -> float:
 
     lower = q.z / c1
     return _clip_prob(reg_gamma_p(p.m_r, lower) + integrate_semi_infinite(integrand, lower))
-
-
-def outage_mrc_case1(q: OutageQuery) -> float:
-    """Exact MRC/MRT outage for the single-transmit-antenna regime (m_t == 1).
-
-    Conditioned on the first-hop gain y, the link survives when the matched
-    combiner's loop pickup stays below (c1/z - 1/y)/c2 and the scalar second
-    hop clears z/(c3 y); the survival factor of the second hop is
-    exp(-z/(c3*y)) (the exponent carries c3, the second-hop coefficient).
-    """
-    p = q.params
-    if p.m_t != 1:
-        raise WrongCaseError("this MRC/MRT case needs m_t == 1")
-    return _mrc_cdf(q)
-
-
-def outage_mrc_case2(q: OutageQuery) -> float:
-    """Exact MRC/MRT outage for the single-receive-antenna regime (m_r == 1).
-
-    Here the scalar first hop fights an Exp(1) loop pickup (variance folded
-    into c2) while the second hop keeps the full m_t-dimensional matched
-    gain; ``_mrc_cdf`` holds the integral.
-    """
-    p = q.params
-    if p.m_r != 1:
-        raise WrongCaseError("this MRC/MRT case needs m_r == 1")
-    return _mrc_cdf(q)
 
 
 def outage_hd(q: OutageQuery) -> float:

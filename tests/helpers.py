@@ -38,13 +38,15 @@ def four_antenna_params(alpha: float = 0.5) -> SystemParams:
 
 
 def reference_mrc_outage(params: SystemParams, z: float) -> float:
-    """30-digit mpmath value of the MRC/MRT outage for m_t == 1 or m_r == 1.
+    """60-digit mpmath value of the MRC/MRT outage at any (m_r, m_t).
 
-    Integrates the paper's single-integral CDF with the link coefficients
-    recomputed in extended precision, with panel breaks at decades above the
-    lower limit z/c1 where the loop factor has its boundary layer.
+    Integrates the survival form 1 - int keep * survive of the single-integral
+    CDF with the link coefficients recomputed in extended precision, with
+    panel breaks at decades above the lower limit z/c1 where the loop factor
+    has its boundary layer.  The subtraction cancels as many digits as the
+    outage is small, so 60 digits resolve outages down to about 1e-45.
     """
-    with mpmath.workdps(30):
+    with mpmath.workdps(60):
         mpf = mpmath.mpf
         first = mpf(params.p_s) / mpf(params.d1) ** params.tau
         kappa = mpf(params.eta) * params.alpha / (1 - mpf(params.alpha))

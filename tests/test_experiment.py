@@ -22,6 +22,8 @@ from helpers import make_params
 BAD_SWEEPS = (
     {"snr_db": 5}, {"snr_db": ["abc"]}, {"snr_db": [None]},
     {"snr_db": [float("inf")]}, {"threshold_db": [True]},
+    {"snr_db": [1.0], "extra": 3}, {"alpha": {"points": 3}, "extra": 3},
+    {"alpha": {"values": [0.3], "points": 7}}, {"alpha": {"points": 7, "step": 2}},
 )
 
 
@@ -264,7 +266,9 @@ class TestOutputsAndCli:
         for override in (*({"sweep": sweep} for sweep in BAD_SWEEPS),
                          {"n_trials_optimal": 0}, {"n_trials_optimal": -5}):
             bad.write_text(json.dumps({**base_config().to_dict(), **override}))
-            assert cli_main(["outage", "--config", str(bad)]) == 2, override
+            # each axis goes to the command that takes it, so only the load can fail
+            command = "throughput" if "alpha" in override.get("sweep", {}) else "outage"
+            assert cli_main([command, "--config", str(bad)]) == 2, override
         alpha["sweep"] = {"alpha": {"points": True}}
         bad.write_text(json.dumps(alpha))
         assert cli_main(["throughput", "--config", str(bad)]) == 2
@@ -292,8 +296,7 @@ CHECK_NAMES = [
     "loop_cdf_degenerate_branch",
     "mc_vs_analytic_tzf",
     "mc_vs_analytic_rzf",
-    "mc_vs_analytic_mrc_case1",
-    "mc_vs_analytic_mrc_case2",
+    "mc_vs_analytic_mrc_mrt",
     "mc_vs_analytic_hd",
     "eq23_exponent_resolution",
     "diversity_slope_tzf_2_2",

@@ -11,15 +11,14 @@ from fdrelay import (
     diversity_order,
     estimate_outage,
     outage_hd,
-    outage_mrc_case1,
-    outage_mrc_case2,
+    outage_mrc_mrt,
     outage_rzf,
     outage_rzf_asymptotic,
     outage_tzf,
     outage_tzf_asymptotic,
     reg_gamma_p,
 )
-from fdrelay.errors import InfeasibleSchemeError, WrongCaseError
+from fdrelay.errors import InfeasibleSchemeError
 from fdrelay.outage import link_coefficients
 
 from helpers import make_params, reference_mrc_outage
@@ -34,8 +33,10 @@ class TestLimitsAndDomains:
         for fn, m_r, m_t in (
             (outage_tzf, 2, 2),
             (outage_rzf, 2, 2),
-            (outage_mrc_case1, 2, 1),
-            (outage_mrc_case2, 1, 2),
+            (outage_mrc_mrt, 2, 1),
+            (outage_mrc_mrt, 1, 2),
+            (outage_mrc_mrt, 2, 2),
+            (outage_mrc_mrt, 3, 3),
             (outage_hd, 2, 2),
         ):
             params = make_params(m_r, m_t)
@@ -46,10 +47,6 @@ class TestLimitsAndDomains:
             outage_tzf(q_at(make_params(2, 1)))
         with pytest.raises(InfeasibleSchemeError):
             outage_rzf(q_at(make_params(1, 2)))
-        with pytest.raises(WrongCaseError):
-            outage_mrc_case1(q_at(make_params(2, 2)))
-        with pytest.raises(WrongCaseError):
-            outage_mrc_case2(q_at(make_params(2, 2)))
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
@@ -63,8 +60,10 @@ class TestLimitsAndDomains:
         cases = [
             (outage_tzf, make_params(2, 2, 5.0)),
             (outage_rzf, make_params(2, 2, 5.0)),
-            (outage_mrc_case1, make_params(2, 1, 5.0)),
-            (outage_mrc_case2, make_params(1, 2, 5.0)),
+            (outage_mrc_mrt, make_params(2, 1, 5.0)),
+            (outage_mrc_mrt, make_params(1, 2, 5.0)),
+            (outage_mrc_mrt, make_params(2, 2, 5.0)),
+            (outage_mrc_mrt, make_params(3, 3, 5.0)),
             (outage_hd, make_params(2, 2, 5.0)),
         ]
         zs = np.geomspace(0.01, 50.0, 200)
@@ -193,7 +192,7 @@ class TestMrcCases:
         from fdrelay import integrate_semi_infinite
 
         expected = 1.0 - integrate_semi_infinite(integrand, q.z / c1)
-        assert outage_mrc_case1(q) == pytest.approx(expected, abs=1e-9)
+        assert outage_mrc_mrt(q) == pytest.approx(expected, abs=1e-9)
 
     def test_interference_free_limit_case2(self):
         params = make_params(1, 2, 10.0, sigma2_li=0.0)
@@ -205,35 +204,32 @@ class TestMrcCases:
             return reg_gamma_q(2, q.z / (c3 * x)) * math.exp(-x)
 
         expected = 1.0 - integrate_semi_infinite(integrand, q.z / c1)
-        assert outage_mrc_case2(q) == pytest.approx(expected, abs=1e-9)
+        assert outage_mrc_mrt(q) == pytest.approx(expected, abs=1e-9)
 
-    def test_cases_agree_on_single_antenna_relay(self):
-        params = make_params(1, 1, 10.0)
-        q = q_at(params)
-        assert outage_mrc_case1(q) == pytest.approx(outage_mrc_case2(q), abs=1e-9)
-
-    @pytest.mark.parametrize("m_r, m_t", [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3)])
+    @pytest.mark.parametrize(
+        "m_r, m_t", [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3), (2, 2), (3, 3), (4, 4)]
+    )
     def test_deep_tail_matches_mpmath(self, m_r, m_t):
         # Monte Carlo (criterion 2) cannot resolve a relative error of 1e-6
-        # at these outage levels (down to 5e-11 at 100 dB).
-        fn = outage_mrc_case1 if m_t == 1 else outage_mrc_case2
+        # at these outage levels (down to 2e-41 at 100 dB).
         for sigma2_li in (0.1, 0.03, 1e-3):
             for snr_db in (0.0, 20.0, 40.0, 60.0, 100.0):
                 p_s = 10.0 ** (snr_db / 10.0)
                 params = make_params(m_r, m_t, p_s, sigma2_li=sigma2_li)
                 expected = reference_mrc_outage(params, params.gamma_th)
-                assert fn(q_at(params)) == pytest.approx(expected, rel=1e-6, abs=0.0)
+                assert outage_mrc_mrt(q_at(params)) == pytest.approx(
+                    expected, rel=1e-6, abs=0.0
+                )
 
-    def test_case1_matches_monte_carlo(self):
-        params = make_params(2, 1, 10.0)
-        analytic = outage_mrc_case1(q_at(params))
-        est = estimate_outage(params, Scheme.MRC_MRT, 1_000_000, seed=8, threads=2)
-        assert abs(analytic - est.p_hat) <= 3.0 * est.std_err + 1e-3
-
-    def test_case2_matches_monte_carlo(self):
-        params = make_params(1, 2, 10.0)
-        analytic = outage_mrc_case2(q_at(params))
-        est = estimate_outage(params, Scheme.MRC_MRT, 1_000_000, seed=9, threads=2)
+    @pytest.mark.parametrize("m_r, m_t, seed", [
+        pytest.param(2, 1, 8, id="2-1"),
+        pytest.param(1, 2, 9, id="1-2"),
+        pytest.param(2, 2, 11, id="2-2"),
+    ])
+    def test_matches_monte_carlo(self, m_r, m_t, seed):
+        params = make_params(m_r, m_t, 10.0)
+        analytic = outage_mrc_mrt(q_at(params))
+        est = estimate_outage(params, Scheme.MRC_MRT, 1_000_000, seed=seed, threads=2)
         assert abs(analytic - est.p_hat) <= 3.0 * est.std_err + 1e-3
 
 
