@@ -11,8 +11,8 @@ acceptance suite repeats this at full fidelity.
 
 import numpy as np
 
-from fdrelay import Scheme, SystemParams, estimate_outage, optimize_alpha, throughput
-from fdrelay.simkit import params_at_alpha
+from fdrelay import Scheme, SystemParams, estimate_outage, throughput
+from fdrelay.simkit import _search_alpha_batch, params_at_alpha
 
 BENCH = SystemParams(
     m_r=4, m_t=4, p_s=10.0, d1=2.0, d2=2.0, tau=3.1, eta=1.0,
@@ -40,11 +40,14 @@ def main() -> None:
             cells.append(throughput(p, scheme, est.p_hat))
         print(f"{alpha:6.2f} " + " ".join(f"{c:12.4f}" for c in cells))
 
+    # The five searches step in lockstep and share each round's channel
+    # draws; each optimum equals optimize_alpha(BENCH, scheme, n, grid=33).
     print("\nper-scheme optimum (33-point grid + golden refinement):")
-    for scheme, n in SCHEMES:
-        point = optimize_alpha(
-            BENCH, scheme, n, grid=33, seed=2, threshold_mode="fixed", threads=2,
-        )
+    schemes, trials = zip(*SCHEMES)
+    grid = [(i + 1) / 34 for i in range(33)]
+    found = _search_alpha_batch(BENCH, schemes, grid, trials, seed=2, threads=2)
+    for scheme, search in zip(schemes, found):
+        point = search.best
         print(
             f"  {scheme.value:12s} alpha* = {point.alpha:.3f}  "
             f"R(alpha*) = {point.throughput:.4f}  (outage {point.outage:.3f})"

@@ -38,7 +38,7 @@ from .outage import (
     outage_tzf_asymptotic,
 )
 from .precoding import Scheme, check_feasible
-from .simkit import OutageEstimate, estimate_outage, search_alpha
+from .simkit import OutageEstimate, _search_alpha_batch, estimate_outage
 from .specfun import (
     digamma,
     integrate_semi_infinite,
@@ -373,9 +373,11 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Throughput versus harvesting split, with a per-scheme optimum summary.
 
     Each scheme gets one ``grid`` row per alpha point plus one ``summary``
-    row holding (alpha*, R(alpha*)), both from ``simkit.search_alpha`` (grid
-    plus golden-section refinement around the best grid point); the
-    half-duplex baseline is always appended.
+    row holding (alpha*, R(alpha*)), both from its alpha search (grid plus
+    golden-section refinement around the best grid point); the half-duplex
+    baseline is always appended.  The feasible schemes' searches run in
+    lockstep in one ``simkit._search_alpha_batch`` call, so each probe
+    round's channel draws serve every scheme.
     """
     if cfg.sweep_kind() != "alpha":
         raise ConfigError("throughput sweeps need an alpha sweep")
@@ -384,6 +386,12 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> SweepResult:
     schemes = list(cfg.schemes)
     if Scheme.HALF_DUPLEX not in schemes:
         schemes.append(Scheme.HALF_DUPLEX)
+
+    feasible = [s for s in schemes if _is_feasible(s, cfg.params.m_r, cfg.params.m_t)]
+    searches = dict(zip(feasible, _search_alpha_batch(
+        cfg.params, feasible, alphas, [cfg.trials_for(s) for s in feasible], cfg.seed,
+        threshold_mode=cfg.threshold_mode, threads=cfg.threads,
+    )))
 
     rows = []
     rho1_db = 10.0 * math.log10(cfg.params.p_s)
@@ -394,15 +402,12 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> SweepResult:
             "m_r": cfg.params.m_r,
             "m_t": cfg.params.m_t,
         }
-        if not _is_feasible(scheme, cfg.params.m_r, cfg.params.m_t):
+        found = searches.get(scheme)
+        if found is None:
             for alpha in alphas:
                 rows.append(dict(base, kind="grid", alpha=alpha, status="infeasible"))
             rows.append(dict(base, kind="summary", status="infeasible"))
             continue
-        found = search_alpha(
-            cfg.params, scheme, alphas, cfg.trials_for(scheme), cfg.seed,
-            threshold_mode=cfg.threshold_mode, threads=cfg.threads,
-        )
         for point in found.grid:
             rows.append(dict(
                 base, kind="grid", alpha=point.alpha, outage=point.outage,

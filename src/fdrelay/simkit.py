@@ -12,17 +12,25 @@ kernels of :mod:`fdrelay.precoding` and :mod:`fdrelay.sinr`; the
 per-realization API there is their n = 1 wrapper, so it computes the same
 numbers one draw at a time.
 
-The harvesting split is optimized by one routine, ``search_alpha`` (grid
-plus golden-section refinement), which ``optimize_alpha`` and the
-throughput sweep of :mod:`fdrelay.experiment` both call.
+The harvesting split is optimized by one search (grid plus golden-section
+refinement), written once as a per-scheme step, ``_alpha_steps``.  The
+kernel ``_search_alpha_batch`` steps the searches of several schemes in
+lockstep: probe round k estimates every scheme's k-th alpha on substream k,
+and the draws depend only on (seed, stream, m_r, m_t, sigma2_li), so the
+schemes of a round share its channel draws: each chunk is drawn once per
+round, not once per scheme.  ``search_alpha`` and ``optimize_alpha`` are its
+n = 1 wrappers, and the throughput sweep of :mod:`fdrelay.experiment` makes
+one batched call.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Generator, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -95,15 +103,35 @@ class AlphaSearch:
 def _chunk_channels(
     params: SystemParams, key: np.ndarray, chunk_idx: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Channel draws for one chunk; layout depends only on (key, chunk_idx)."""
+    """Read-only channel draws for one chunk; layout depends only on (key, chunk_idx)."""
     bitgen = np.random.Philox(key=key, counter=chunk_idx << 192)
     rng = np.random.Generator(bitgen)
     hsr = _standard_complex_normal(rng, (_CHUNK, params.m_r))
     hrd = _standard_complex_normal(rng, (_CHUNK, params.m_t))
-    hrr = np.sqrt(params.sigma2_li) * _standard_complex_normal(
-        rng, (_CHUNK, params.m_r, params.m_t)
-    )
+    hrr = _standard_complex_normal(rng, (_CHUNK, params.m_r, params.m_t))
+    hrr *= np.sqrt(params.sigma2_li)
+    for arr in (hsr, hrd, hrr):
+        arr.flags.writeable = False
     return hsr, hrd, hrr
+
+
+# The chunks drawn in the current probe round, keyed on (seed, stream, m_r,
+# m_t, sigma2_li, chunk); None outside a round.
+_round_draws: ContextVar[dict | None] = ContextVar("_round_draws", default=None)
+
+
+@contextmanager
+def _probe_round() -> Iterator[None]:
+    """Share channel draws among the estimates made in this block.
+
+    Each chunk is drawn once, by the first estimate that needs it, and the
+    memo is released when the block exits, also on an exception.
+    """
+    token = _round_draws.set({})
+    try:
+        yield
+    finally:
+        _round_draws.reset(token)
 
 
 def _sinr_batch(
@@ -146,27 +174,43 @@ def estimate_outage(
 
     Deterministic given (seed, params, scheme, n_trials) for any thread
     count.  ``stream`` selects an independent substream (used internally by
-    sweeps so different design points never share draws).
+    sweeps so different design points never share draws).  Outside a probe
+    round each worker draws the chunks it scores; inside one the calling
+    thread reads them from the round's memo, drawing those not yet there
+    while the workers score the chunks before them.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     check_feasible(scheme, params.m_r, params.m_t)
     key = _stream_key(seed, stream)
     n_chunks = -(-n_trials // _CHUNK)
+    shared = _round_draws.get()
 
-    def count_chunk(chunk_idx: int) -> int:
-        hsr, hrd, hrr = _chunk_channels(params, key, chunk_idx)
+    def from_round(chunk_idx: int) -> tuple | None:
+        """The round's draws of the chunk (drawn now if new); None outside a round."""
+        if shared is None:
+            return None
+        memo_key = (seed, stream, params.m_r, params.m_t, params.sigma2_li, chunk_idx)
+        if memo_key not in shared:
+            shared[memo_key] = _chunk_channels(params, key, chunk_idx)
+        return shared[memo_key]
+
+    def count_chunk(chunk_idx: int, drawn: tuple | None) -> int:
+        if drawn is None:
+            drawn = _chunk_channels(params, key, chunk_idx)
+        hsr, hrd, hrr = drawn
         keep = min(_CHUNK, n_trials - chunk_idx * _CHUNK)
         gamma = _sinr_batch(
             params, scheme, hsr[:keep], hrd[:keep], hrr[:keep], MC_SEARCH
         )
         return int(np.count_nonzero(gamma < params.gamma_th))
 
+    chunks = range(n_chunks)
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            failures = sum(pool.map(count_chunk, range(n_chunks)))
+            failures = sum(pool.map(count_chunk, chunks, map(from_round, chunks)))
     else:
-        failures = sum(count_chunk(j) for j in range(n_chunks))
+        failures = sum(count_chunk(j, from_round(j)) for j in chunks)
 
     p_hat = failures / n_trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / n_trials)
@@ -205,13 +249,9 @@ def params_at_alpha(
 OutageFn = Callable[[SystemParams, Scheme], float]
 
 
-def _better(a: ThroughputPoint, b: ThroughputPoint | None) -> bool:
-    """Does a beat b (ties broken toward smaller alpha)?"""
-    if b is None:
-        return True
-    if a.throughput != b.throughput:
-        return a.throughput > b.throughput
-    return a.alpha < b.alpha
+def _best(points: list[ThroughputPoint]) -> ThroughputPoint:
+    """The highest throughput, ties broken toward smaller alpha, then the first seen."""
+    return max(points, key=lambda p: (p.throughput, -p.alpha))
 
 
 def _eval_point(
@@ -243,6 +283,85 @@ def _eval_point(
     )
 
 
+def _alpha_steps(
+    alphas: Sequence[float],
+) -> Generator[float | AlphaSearch, ThroughputPoint, None]:
+    """One scheme's alpha search, one probe at a time.
+
+    Yields each alpha to probe and is sent back its point: first the grid,
+    then two golden-section probes and ``_REFINE_ITERS`` more.  After that
+    last probe it yields the ``AlphaSearch``.
+    """
+    grid = []
+    for alpha in alphas:
+        grid.append((yield alpha))
+    ordered = sorted(set(alphas))
+    k = ordered.index(_best(grid).alpha)
+    lo = ordered[k - 1] if k > 0 else ordered[0] / 2.0
+    hi = ordered[k + 1] if k + 1 < len(ordered) else (ordered[-1] + 1.0) / 2.0
+    bracket = (lo, hi)
+
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1 = yield x1
+    f2 = yield x2
+    refined = [f1, f2]
+    for _ in range(_REFINE_ITERS):
+        if f1.throughput < f2.throughput:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = yield x2
+            refined.append(f2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = yield x1
+            refined.append(f1)
+    yield AlphaSearch(grid=tuple(grid), bracket=bracket, best=_best(grid + refined))
+
+
+def _search_alpha_batch(
+    params: SystemParams,
+    schemes: Sequence[Scheme],
+    alphas: Sequence[float],
+    trials: Sequence[int],
+    seed: int,
+    *,
+    threshold_mode: str = "fixed",
+    threads: int = 1,
+    outage_fn: OutageFn | None = None,
+) -> list[AlphaSearch]:
+    """``search_alpha`` for each scheme (with its own trial count), in lockstep.
+
+    Every search makes ``len(alphas) + 2 + _REFINE_ITERS`` probes.  Round k
+    probes each scheme's k-th alpha on substream k inside one probe round,
+    so the round's estimates share their channel draws, and each search
+    returns exactly what it would alone.
+    """
+    if not alphas:
+        raise ValueError("alphas must not be empty")
+    if len(trials) != len(schemes):
+        raise ValueError("need one trial count per scheme")
+    for scheme in schemes:
+        check_feasible(scheme, params.m_r, params.m_t)
+    steps = [_alpha_steps(alphas) for _ in schemes]
+    asks = [next(step) for step in steps]
+    # A lone search has no draws to share; outside a round its estimates keep
+    # at most ``threads`` chunks alive rather than a whole stream.
+    round_scope = _probe_round if len(schemes) > 1 else nullcontext
+    for stream in range(len(alphas) + 2 + _REFINE_ITERS):
+        with round_scope():
+            points = [
+                _eval_point(
+                    params, scheme, alpha, threshold_mode, n_trials, seed, stream,
+                    threads, outage_fn,
+                )
+                for scheme, alpha, n_trials in zip(schemes, asks, trials)
+            ]
+        asks = [step.send(point) for step, point in zip(steps, points)]
+    return asks
+
+
 def search_alpha(
     params: SystemParams,
     scheme: Scheme,
@@ -261,47 +380,14 @@ def search_alpha(
     the best point observed anywhere, which keeps the refinement robust to
     Monte Carlo noise.  Ties break toward smaller alpha.  The refinement
     bracket is the best grid point's neighbours in the sorted grid; beyond
-    an end point it reaches halfway to the boundary (0 or 1).
+    an end point it reaches halfway to the boundary (0 or 1).  This is the
+    n = 1 case of ``_search_alpha_batch``.
     """
-    if not alphas:
-        raise ValueError("alphas must not be empty")
-    check_feasible(scheme, params.m_r, params.m_t)
-    best: ThroughputPoint | None = None
-    stream = 0
-
-    def probe(alpha: float) -> ThroughputPoint:
-        nonlocal stream, best
-        point = _eval_point(
-            params, scheme, alpha, threshold_mode, n_trials, seed, stream,
-            threads, outage_fn,
-        )
-        stream += 1
-        if _better(point, best):
-            best = point
-        return point
-
-    grid = tuple(probe(alpha) for alpha in alphas)
-    assert best is not None
-    ordered = sorted(set(alphas))
-    k = ordered.index(best.alpha)
-    lo = ordered[k - 1] if k > 0 else ordered[0] / 2.0
-    hi = ordered[k + 1] if k + 1 < len(ordered) else (ordered[-1] + 1.0) / 2.0
-    bracket = (lo, hi)
-
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1 = probe(x1)
-    f2 = probe(x2)
-    for _ in range(_REFINE_ITERS):
-        if f1.throughput < f2.throughput:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = probe(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = probe(x1)
-    return AlphaSearch(grid=grid, bracket=bracket, best=best)
+    (found,) = _search_alpha_batch(
+        params, [scheme], alphas, [n_trials], seed,
+        threshold_mode=threshold_mode, threads=threads, outage_fn=outage_fn,
+    )
+    return found
 
 
 def optimize_alpha(

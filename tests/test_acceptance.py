@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from fdrelay import ChannelRealization, Scheme, meijer_special_cdf, optimize_alpha
+from fdrelay import ChannelRealization, Scheme, meijer_special_cdf
 from fdrelay.experiment import (
     _asymptotic_ratios,
     _diversity_slopes,
@@ -25,7 +25,13 @@ from fdrelay.experiment import (
     _specfun_errors,
 )
 from fdrelay.precoding import DEFAULT_SEARCH, _optimal_wt_batch
-from fdrelay.simkit import MC_SEARCH, _chunk_channels, _sinr_batch, _stream_key
+from fdrelay.simkit import (
+    MC_SEARCH,
+    _chunk_channels,
+    _search_alpha_batch,
+    _sinr_batch,
+    _stream_key,
+)
 
 from helpers import ascent_best_sinr, four_antenna_params, make_params
 
@@ -47,17 +53,20 @@ def report(criterion: int, ok: bool, message: str) -> None:
 
 @pytest.fixture(scope="session")
 def benchmark_maxima():
-    """Optimized throughput of every scheme at the 4x4 benchmark, per mode."""
+    """Optimized throughput of every scheme at the 4x4 benchmark, per mode.
+
+    The five searches of a mode run in lockstep on one 33-point open grid
+    and share each probe round's channel draws; every maximum is the one
+    ``optimize_alpha(BENCH, scheme, n, grid=33, seed=11)`` returns.
+    """
+    alphas = [(i + 1) / 34 for i in range(33)]
+    trials = [10_000 if s is Scheme.OPTIMAL else 100_000 for s in ALL_SCHEMES]
     results = {}
     for mode in ("fixed", "rate_coupled"):
-        per_scheme = {}
-        for scheme in ALL_SCHEMES:
-            n = 10_000 if scheme is Scheme.OPTIMAL else 100_000
-            per_scheme[scheme] = optimize_alpha(
-                BENCH, scheme, n, grid=33, seed=11,
-                threshold_mode=mode, threads=2,
-            )
-        results[mode] = per_scheme
+        found = _search_alpha_batch(
+            BENCH, ALL_SCHEMES, alphas, trials, seed=11, threshold_mode=mode, threads=2,
+        )
+        results[mode] = {s: f.best for s, f in zip(ALL_SCHEMES, found)}
     return results
 
 

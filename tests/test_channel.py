@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from fdrelay import ChannelRealization, SystemParams, relay_power, sample_channel
+from fdrelay.channel import _standard_complex_normal
 
 from helpers import make_params
 
@@ -37,6 +38,23 @@ def test_same_seed_same_realization():
     assert np.array_equal(a.h_sr, b.h_sr)
     assert np.array_equal(a.h_rd, b.h_rd)
     assert np.array_equal(a.h_rr, b.h_rr)
+
+
+@pytest.mark.parametrize("shape", [(1,), (4,), (8192, 4), (8192, 3, 3), (8192, 4, 4)])
+def test_complex_normals_are_bit_identical_to_the_complex_division(shape):
+    # The in-place 1/sqrt(2) scaling must give the very bits of the plain
+    # complex construction from the same generator state.
+    got = _standard_complex_normal(np.random.default_rng(77), shape)
+    z = np.random.default_rng(77).standard_normal(shape + (2,))
+    want = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    assert got.shape == shape and got.dtype == np.complex128
+    assert np.array_equal(got.real, want.real) and np.array_equal(got.imag, want.imag)
+
+
+def test_sample_channel_is_read_only():
+    ch = sample_channel(make_params(3, 2), np.random.default_rng(5))
+    for arr in (ch.h_sr, ch.h_rd, ch.h_rr):
+        assert not arr.flags.writeable
 
 
 def test_mean_gain_matches_antenna_count(gain_draws):

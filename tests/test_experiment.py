@@ -14,6 +14,7 @@ from fdrelay.experiment import (
     run_validation,
 )
 from fdrelay.precoding import Scheme
+from fdrelay.simkit import search_alpha
 
 from helpers import make_params
 
@@ -210,6 +211,34 @@ class TestThroughputSweep:
             hi = ordered[k + 1] if k + 1 < len(ordered) else (ordered[-1] + 1.0) / 2.0
             assert lo <= summary["alpha"] <= hi
             assert summary["throughput"] >= best["throughput"]
+
+
+    def test_lockstep_sweep_keeps_row_order_and_infeasible_rows(self):
+        # TZF is infeasible at m_t = 1; every other scheme's rows are its
+        # own alpha search, in the configured order.
+        order = ["mrc_mrt", "tzf", "half_duplex", "rzf", "optimal"]
+        cfg = base_config(
+            params=make_params(2, 1).to_dict(), schemes=order,
+            sweep={"alpha": {"values": [0.6, 0.3]}}, n_trials=2000,
+        )
+        rows = run_throughput_sweep(cfg).rows
+        assert [r["scheme"] for r in rows] == [s for s in order for _ in range(3)]
+        assert [r["kind"] for r in rows] == ["grid", "grid", "summary"] * len(order)
+        for scheme in order:
+            grid = [r for r in rows if r["scheme"] == scheme and r["kind"] == "grid"]
+            (summary,) = [r for r in rows if r["scheme"] == scheme and r["kind"] == "summary"]
+            if scheme == "tzf":
+                assert [r["status"] for r in grid + [summary]] == ["infeasible"] * 3
+                assert [r["alpha"] for r in grid] == [0.6, 0.3]
+                continue
+            found = search_alpha(
+                cfg.params, Scheme(scheme), [0.6, 0.3], cfg.trials_for(Scheme(scheme)),
+                cfg.seed, threads=cfg.threads,
+            )
+            assert [(r["alpha"], r["outage"], r["std_err"]) for r in grid] == [
+                (pt.alpha, pt.outage, pt.std_err) for pt in found.grid]
+            assert (summary["alpha"], summary["throughput"]) == (
+                found.best.alpha, found.best.throughput)
 
 
 class TestOutputsAndCli:

@@ -1,5 +1,6 @@
-"""Property tests: the top-eigenvector kernel, optimal-search dominance and
-the rotation invariance of every scheme's SINR."""
+"""Property tests: the top-eigenvector kernel, optimal-search dominance, the
+rotation invariance of every scheme's SINR, the batched SINR kernel against
+its n = 1 wrappers, and the monotonicity of every analytic outage CDF."""
 
 import numpy as np
 import pytest
@@ -9,17 +10,23 @@ from hypothesis.extra import numpy as hnp
 
 from fdrelay import (
     ChannelRealization,
+    OutageQuery,
     Scheme,
     e2e_sinr,
     hd_snr,
     mrc_mrt,
     optimal,
+    outage_hd,
+    outage_mrc_mrt,
+    outage_rzf,
+    outage_tzf,
     rzf,
     sample_channel,
     tzf,
 )
 from fdrelay.errors import InfeasibleSchemeError
-from fdrelay.precoding import _optimal_wt_batch, _top_eig_rank_one
+from fdrelay.precoding import _optimal_wt_batch, _top_eig_rank_one, check_feasible
+from fdrelay.simkit import MC_SEARCH, _sinr_batch
 
 from helpers import make_params
 
@@ -133,3 +140,60 @@ def test_sinr_is_invariant_under_relay_rotations(m_r, m_t, seed, sigma2_li, p_s)
         except InfeasibleSchemeError:
             continue
         assert _scheme_sinr(rotated, params, scheme) == pytest.approx(before, rel=1e-9), scheme
+
+
+@pytest.mark.parametrize("m_r", range(1, 7))
+@pytest.mark.parametrize("m_t", range(1, 7))
+@settings(PROPERTY, max_examples=3)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sigma2_li=st.sampled_from([0.0, 0.03, 0.3, 3.0]),
+    p_s=st.sampled_from([1.0, 10.0, 100.0]),
+    alpha=st.sampled_from([0.2, 0.5, 0.8]),
+)
+def test_batch_sinr_matches_its_n1_wrappers(m_r, m_t, seed, sigma2_li, p_s, alpha):
+    params = make_params(m_r, m_t, p_s, sigma2_li=sigma2_li, alpha=alpha)
+    rng = np.random.default_rng(seed)
+    chans = [sample_channel(params, rng) for _ in range(3)]
+    stacked = [np.stack([getattr(c, name) for c in chans]) for name in ("h_sr", "h_rd", "h_rr")]
+    for scheme in (Scheme.MRC_MRT, Scheme.TZF, Scheme.RZF, Scheme.HALF_DUPLEX):
+        try:
+            check_feasible(scheme, m_r, m_t)
+        except InfeasibleSchemeError:
+            continue
+        batch = _sinr_batch(params, scheme, *stacked, MC_SEARCH)
+        for i, ch in enumerate(chans):
+            scalar = (hd_snr(ch, params) if scheme is Scheme.HALF_DUPLEX
+                      else e2e_sinr(ch, params, _CLOSED_FORM[scheme](ch)).e2e)
+            assert scalar == pytest.approx(batch[i], rel=1e-12), scheme
+
+
+_OUTAGE_CDFS = {
+    Scheme.TZF: outage_tzf,
+    Scheme.RZF: outage_rzf,
+    Scheme.MRC_MRT: outage_mrc_mrt,
+    Scheme.HALF_DUPLEX: outage_hd,
+}
+
+
+@settings(PROPERTY, max_examples=60)
+@given(
+    m_r=st.integers(1, 6),
+    m_t=st.integers(1, 6),
+    sigma2_li=st.sampled_from([0.0, 0.03, 0.3, 3.0]),
+    snr_db=st.floats(-10.0, 60.0),
+    alpha=st.floats(0.05, 0.95),
+    z=st.floats(1e-2, 1e3),
+    ratio=st.floats(1.0, 100.0),
+)
+def test_outage_cdfs_are_monotone_in_the_threshold(m_r, m_t, sigma2_li, snr_db, alpha, z, ratio):
+    # Quadrature rounding may wiggle a value near 1 by an ulp; nothing more.
+    params = make_params(m_r, m_t, 10.0 ** (snr_db / 10.0), sigma2_li=sigma2_li, alpha=alpha)
+    for scheme, cdf in _OUTAGE_CDFS.items():
+        try:
+            low = cdf(OutageQuery(params, z))
+        except InfeasibleSchemeError:
+            continue
+        high = cdf(OutageQuery(params, z * ratio))
+        assert 0.0 <= low <= 1.0 and 0.0 <= high <= 1.0
+        assert high >= low * (1.0 - 1e-12), scheme

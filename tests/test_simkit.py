@@ -1,5 +1,8 @@
 """Monte Carlo estimator: reproducibility, limits, throughput optimization."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,11 +19,15 @@ from fdrelay import (
     throughput,
     tzf,
 )
+from fdrelay import simkit
 from fdrelay.channel import ChannelRealization
 from fdrelay.errors import InfeasibleSchemeError
 from fdrelay.simkit import (
+    _REFINE_ITERS,
     MC_SEARCH,
     _chunk_channels,
+    _round_draws,
+    _search_alpha_batch,
     _sinr_batch,
     _stream_key,
     params_at_alpha,
@@ -281,3 +288,107 @@ class TestOptimizeAlpha:
         assert point.throughput == pytest.approx(
             0.5 * (1.0 - point.outage) * params.r_c * (1.0 - point.alpha), rel=1e-12
         )
+
+
+ALL_SCHEMES = [Scheme.OPTIMAL, Scheme.RZF, Scheme.MRC_MRT, Scheme.TZF, Scheme.HALF_DUPLEX]
+# Two chunks per closed-form estimate, so two threads split each one.
+ALL_TRIALS = [300, 9000, 9000, 9000, 9000]
+SHORT_GRID = [0.2, 0.5, 0.8]
+ROUNDS = len(SHORT_GRID) + 2 + _REFINE_ITERS
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("mode", ["fixed", "rate_coupled"])
+    def test_batch_equals_single_searches_for_any_thread_count(self, mode):
+        params = make_params(2, 2)
+        by_threads = {}
+        for threads in (1, 2):
+            batch = _search_alpha_batch(
+                params, ALL_SCHEMES, SHORT_GRID, ALL_TRIALS, seed=9,
+                threshold_mode=mode, threads=threads,
+            )
+            for scheme, n, found in zip(ALL_SCHEMES, ALL_TRIALS, batch):
+                alone = search_alpha(
+                    params, scheme, SHORT_GRID, n, seed=9,
+                    threshold_mode=mode, threads=threads,
+                )
+                assert (found.grid, found.bracket, found.best) == (
+                    alone.grid, alone.bracket, alone.best), scheme
+            by_threads[threads] = batch
+        assert by_threads[1] == by_threads[2]
+        # Shared draws change no estimate: grid point i is the plain
+        # estimate on substream i.
+        for scheme, n, found in zip(ALL_SCHEMES, ALL_TRIALS, by_threads[2]):
+            for i, point in enumerate(found.grid):
+                p = params_at_alpha(params, point.alpha, mode)
+                est = estimate_outage(p, scheme, n, seed=9, stream=i)
+                assert (point.outage, point.std_err) == (est.p_hat, est.std_err)
+
+    def test_shared_draws_under_thread_churn(self):
+        # More workers than cores and a short switch interval: the workers
+        # read the round's chunks while the calling thread draws the next.
+        params = make_params(3, 3)
+        schemes = [Scheme.TZF, Scheme.RZF, Scheme.MRC_MRT]
+        trials = [5 * 8192 + 7] * 3
+        reference = _search_alpha_batch(params, schemes, [0.5], trials, seed=21, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            churned = _search_alpha_batch(params, schemes, [0.5], trials, seed=21, threads=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert churned == reference
+
+    def test_batch_equals_single_searches_with_an_oracle(self):
+        params = make_params(2, 2)
+
+        def oracle(p, scheme):
+            return math.exp(-p.kappa * (1 + ALL_SCHEMES.index(scheme)))
+
+        batch = _search_alpha_batch(
+            params, ALL_SCHEMES, SHORT_GRID, ALL_TRIALS, seed=0, outage_fn=oracle,
+        )
+        for scheme, found in zip(ALL_SCHEMES, batch):
+            alone = search_alpha(params, scheme, SHORT_GRID, 1, seed=0, outage_fn=oracle)
+            assert found == alone
+            assert all(pt.std_err is None for pt in found.grid)
+
+    def test_each_chunk_is_drawn_once_per_round(self, monkeypatch):
+        draws = []
+        original = simkit._chunk_channels
+
+        def counted(params, key, chunk_idx):
+            draws.append((tuple(key), chunk_idx))
+            return original(params, key, chunk_idx)
+
+        monkeypatch.setattr(simkit, "_chunk_channels", counted)
+        schemes = [Scheme.TZF, Scheme.RZF, Scheme.HALF_DUPLEX]
+        _search_alpha_batch(
+            make_params(2, 2), schemes, SHORT_GRID, [9000, 100, 9000], seed=4, threads=2,
+        )
+        assert len(draws) == ROUNDS * 2
+        assert len(set(draws)) == len(draws)
+        assert _round_draws.get() is None
+
+    def test_memo_is_released_when_a_round_fails(self, monkeypatch):
+        seen = []
+        original = simkit._sinr_batch
+
+        def fail_mid_round(params, scheme, *args):
+            memo = _round_draws.get()
+            seen.append(None if memo is None else len(memo))
+            if len(seen) == 3 * 2 + 2:  # the second scheme of the fourth round
+                raise RuntimeError("boom")
+            return original(params, scheme, *args)
+
+        monkeypatch.setattr(simkit, "_sinr_batch", fail_mid_round)
+        with pytest.raises(RuntimeError, match="boom"):
+            _search_alpha_batch(
+                make_params(2, 2), [Scheme.TZF, Scheme.RZF], SHORT_GRID, [100, 100], seed=4,
+            )
+        assert seen == [1] * len(seen)
+        assert _round_draws.get() is None
+
+    def test_mismatched_trial_counts(self):
+        with pytest.raises(ValueError):
+            _search_alpha_batch(make_params(2, 2), [Scheme.TZF], SHORT_GRID, [1, 2], seed=0)
