@@ -3,7 +3,6 @@
 from .channel import ChannelRealization, SystemParams, relay_power, sample_channel
 from .precoding import (
     BeamformingPair,
-    OptimalSearchSpec,
     Scheme,
     mrc_mrt,
     optimal,
@@ -49,7 +48,6 @@ __all__ = [
     "relay_power",
     "Scheme",
     "BeamformingPair",
-    "OptimalSearchSpec",
     "mrc_mrt",
     "tzf",
     "rzf",

@@ -22,12 +22,22 @@ its semidefinite relaxation: bisection on the multiplier ``mu`` applied to the
 pencil ``h h^H + mu (A - t C)``, taking the top eigenvector at each step
 from one batched LAPACK eigensolve over all realizations still searched.
 With one trace constraint plus the unit-trace normalization the relaxation is
-tight, so the top eigenvector is a global solution of the inner problem.  The
-outer 1-D search sweeps a coarse ``t`` grid, then bisects for the crossing
-of the decreasing first hop with the nondecreasing second hop (the min of
-the two is maximized at that crossing or at an end of the range); every
-candidate is scored by its exactly achieved end-to-end SINR, so search
-imprecision can only cost optimality, never feasibility.
+tight, so the top eigenvector is a global solution of the inner problem.
+
+The outer 1-D search needs no grid.  With its optimal combiner the first hop
+of a beamformer at leakage ``t`` is exactly ``c1 (S - t)`` (``c1 = p_s /
+d1^tau``; Sherman-Morrison on the loop covariance), so it falls as ``t``
+grows.  The best second hop at leakage ``t`` never falls on ``[0, t_mrt]``,
+where ``t_mrt`` is the matched beamformer's own leakage: the gain
+``|h_rd w|^2`` has no local maximum on the unit sphere but the matched
+beamformer, so below ``t_mrt`` the best gain with leakage at most ``t`` is
+reached at leakage exactly ``t``, and allowing more leakage can only raise
+it.  So the min of the two peaks where they cross, or at an end of that
+range, and the two ends are the transmit-ZF (``t = 0``) and matched
+(``t = t_mrt``) beamformers.  The search scores both ends, then bisects on
+the sign of ``second - first``.  Every candidate is scored by its exactly
+achieved end-to-end SINR, so search imprecision can only cost optimality,
+never feasibility.
 """
 
 from __future__ import annotations
@@ -44,7 +54,6 @@ from .sinr import _fd_hops_batch
 __all__ = [
     "Scheme",
     "BeamformingPair",
-    "OptimalSearchSpec",
     "mrc_mrt",
     "tzf",
     "rzf",
@@ -52,6 +61,7 @@ __all__ = [
 ]
 
 _DEGENERATE_NORM = 1e-14
+_CROSSING_STEPS = 34  # halvings of the leakage bracket [0, t_mrt]
 
 
 class Scheme(enum.Enum):
@@ -89,21 +99,6 @@ class BeamformingPair:
             norm = np.linalg.norm(vec)
             if not abs(norm - 1.0) <= 1e-10:  # also rejects NaN
                 raise ValueError(f"{name} must be unit norm, got ||{name}|| = {norm}")
-
-
-@dataclass(frozen=True)
-class OptimalSearchSpec:
-    """Effort of the optimal scheme's one-dimensional leakage search."""
-
-    t_grid_points: int = 33
-    refine_iters: int = 20
-
-    def __post_init__(self) -> None:
-        if min(self.t_grid_points, self.refine_iters) < 1:
-            raise ValueError("search sizes must be positive")
-
-
-DEFAULT_SEARCH = OptimalSearchSpec()
 
 
 def _rows(ch: ChannelRealization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,11 +144,7 @@ def rzf(ch: ChannelRealization) -> BeamformingPair:
     return _closed_form(ch, Scheme.RZF)
 
 
-def optimal(
-    ch: ChannelRealization,
-    params: SystemParams,
-    spec: OptimalSearchSpec = DEFAULT_SEARCH,
-) -> BeamformingPair:
+def optimal(ch: ChannelRealization, params: SystemParams) -> BeamformingPair:
     """Jointly SINR-optimal combiner/beamformer pair.
 
     Runs the leakage-parameterized search described in the module docstring
@@ -162,7 +153,7 @@ def optimal(
     as candidates, so the achieved SINR dominates every closed-form scheme.
     """
     hsr, hrd, hrr = _rows(ch)
-    wt, _ = _optimal_wt_batch(params, hsr, hrd, hrr, spec)
+    wt, _ = _optimal_wt_batch(params, hsr, hrd, hrr)
     w_r = _combiner_for_wt(params, hsr, hrr, wt)[0]
     return BeamformingPair(w_r, wt[0], Scheme.OPTIMAL)
 
@@ -295,7 +286,7 @@ def _constrained_gain_dirs(
     eigenvector w(mu) of g g^H + mu diag(lam) has a constraint value
     c(mu) = w^H diag(lam) w that is non-decreasing in mu, and at c(mu) = s
     the eigenvector is a global maximizer.  ``mu_init`` warm-starts the
-    bracket (the root moves smoothly along the outer search grid).  Returns
+    bracket (the root moves smoothly between bisection probes).  Returns
     the beamformers and the multipliers found.
     """
     spread = np.maximum(lam[:, -1] - lam[:, 0], 1e-30)
@@ -403,10 +394,16 @@ def _optimal_wt_batch(
     hsr: np.ndarray,
     hrd: np.ndarray,
     hrr: np.ndarray,
-    spec: OptimalSearchSpec = DEFAULT_SEARCH,
     resolve_above: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best transmit beamformer and its achieved SINR for each realization.
+
+    Scores the matched (``t = t_mrt``) and transmit-ZF (``t = 0``) seeds,
+    then halves the bracket ``[0, t_mrt]`` ``_CROSSING_STEPS`` times toward
+    the crossing of the first hop ``c1 (S - t)`` with the nondecreasing
+    second hop.  Since min(first, second) peaks at that crossing or at a
+    seed, the bisection is exact up to the final bracket width, and the
+    best candidate seen is kept.
 
     With ``resolve_above`` set (outage estimation), realizations whose
     incumbent SINR already clears that threshold stop being refined, and
@@ -452,35 +449,30 @@ def _optimal_wt_batch(
         return best_wt, best_gamma
     hdir_a = np.conj(hrd_a)
     c_mat = np.einsum("nij,nik->njk", np.conj(hrr_a), hrr_a)
-    mu_state = np.zeros(active.size)
 
-    # Attainable leakage range: t in [0, t_max] with
-    # t_max = a^H (C + I/(kt*S))^{-1} a, the peak of the leakage ratio.
-    sigma = 1.0 / (kt * s_all[active])
-    shifted = c_mat + sigma[:, None, None] * np.eye(m_t)[None, :, :]
-    solved = np.linalg.solve(shifted, a_vec[:, :, None])[:, :, 0]
-    t_max = np.einsum("ni,ni->n", np.conj(a_vec), solved).real
-    t_max = np.maximum(t_max, 0.0)
-
+    # The bisection bracket [lo, hi] starts as [0, t_mrt], where t_mrt is the
+    # matched beamformer's own leakage level.
+    v_mrt = np.einsum("nij,nj->ni", hrr_a, matched[active])
+    aw = np.abs(np.einsum("ni,ni->n", np.conj(hsr_a), v_mrt)) ** 2
+    cw = np.sum(np.abs(v_mrt) ** 2, axis=1)
+    kts = kt * s_all[active]
     state = {
         "hsr": hsr_a, "hrd": hrd_a, "hrr": hrr_a, "hdir": hdir_a,
-        "a": a_vec, "c": c_mat, "tmax": t_max, "mu": mu_state,
+        "a": a_vec, "c": c_mat, "mu": np.zeros(active.size),
+        "lo": np.zeros(active.size), "hi": kts * aw / (1.0 + kts * cw),
     }
 
-    def compress(extra: dict | None = None) -> dict | None:
+    def compress() -> None:
         """Drop realizations whose outage indicator is already decided."""
         nonlocal active
         if resolve_above is None:
-            return extra
+            return
         keep = best_gamma[active] < resolve_above
         if keep.all():
-            return extra
+            return
         active = active[keep]
         for key, val in state.items():
             state[key] = val[keep]
-        if extra is not None:
-            extra = {key: val[keep] for key, val in extra.items()}
-        return extra
 
     def hops_at(t_sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         wt_sub, state["mu"] = _wt_at_leakage(
@@ -497,36 +489,20 @@ def _optimal_wt_batch(
         best_gamma[rows] = gamma_sub[better]
         return first, second
 
-    # Coarse sweep of the attainable leakage range seeds the dual warm start
-    # and guards the bisection below against non-generic shapes.
-    for frac in np.linspace(0.0, 1.0 - 1e-9, spec.t_grid_points):
-        if active.size == 0:
-            return best_wt, best_gamma
-        hops_at(frac * state["tmax"])
-        compress()
+    # The transmit-ZF seed (t = 0) is the other end of the range.
+    hops_at(state["lo"])
+    compress()
 
-    if active.size == 0:
-        return best_wt, best_gamma
-
-    # The maximum of min(first, second) over the leakage level sits where the
-    # decreasing first hop crosses the nondecreasing second hop (or at an end
-    # of the range, where the matched/zero-leakage candidates already win).
-    # The second hop rises with allowed leakage only up to the matched
-    # beamformer's own leakage level, so the bisection bracket stops there.
-    v_mrt = np.einsum("nij,nj->ni", state["hrr"], matched[active])
-    aw = np.abs(np.einsum("ni,ni->n", np.conj(state["hsr"]), v_mrt)) ** 2
-    cw = np.sum(np.abs(v_mrt) ** 2, axis=1)
-    kts = kt * s_all[active]
-    t_mrt = kts * aw / (1.0 + kts * cw)
-    cross = {"lo": np.zeros(active.size), "hi": np.minimum(t_mrt, state["tmax"])}
-    for _ in range(spec.refine_iters + 20):
+    # The first hop falls and the second does not, so the sign of
+    # second - first locates their crossing.
+    for _ in range(_CROSSING_STEPS):
         if active.size == 0:
-            return best_wt, best_gamma
-        mid = 0.5 * (cross["lo"] + cross["hi"])
+            break
+        mid = 0.5 * (state["lo"] + state["hi"])
         first, second = hops_at(mid)
         go_up = second < first
-        cross["lo"] = np.where(go_up, mid, cross["lo"])
-        cross["hi"] = np.where(go_up, cross["hi"], mid)
-        cross = compress(cross)
+        state["lo"] = np.where(go_up, mid, state["lo"])
+        state["hi"] = np.where(go_up, state["hi"], mid)
+        compress()
 
     return best_wt, best_gamma

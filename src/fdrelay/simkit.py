@@ -26,7 +26,7 @@ one batched call.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Generator, Iterator, Sequence
+from collections.abc import Generator, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
@@ -35,13 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import SystemParams, _standard_complex_normal
-from .precoding import (
-    OptimalSearchSpec,
-    Scheme,
-    _beamformers_batch,
-    _optimal_wt_batch,
-    check_feasible,
-)
+from .precoding import Scheme, _beamformers_batch, _optimal_wt_batch, check_feasible
 from .sinr import _fd_hops_batch, _hd_snr_batch
 
 __all__ = [
@@ -52,15 +46,9 @@ __all__ = [
     "throughput",
     "search_alpha",
     "optimize_alpha",
-    "MC_SEARCH",
 ]
 
 _CHUNK = 8192
-
-# Reduced search effort for the per-trial inner optimization of the optimal
-# scheme; accuracy cross-checked against the full-effort single-realization
-# path and the ascent oracle in the test suite.
-MC_SEARCH = OptimalSearchSpec(t_grid_points=17, refine_iters=14)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_ITERS = 20  # golden-section probes after the first two
@@ -80,15 +68,14 @@ class OutageEstimate:
 class ThroughputPoint:
     """Delay-constrained throughput theta*(1-outage)*r_c*(1-alpha) at one alpha.
 
-    ``std_err`` is the Monte Carlo standard error of ``outage``; it is None
-    when an oracle supplied the outage.
+    ``std_err`` is the Monte Carlo standard error of ``outage``.
     """
 
     alpha: float
     outage: float
     throughput: float
     scheme: Scheme
-    std_err: float | None = None
+    std_err: float
 
 
 @dataclass(frozen=True)
@@ -140,7 +127,6 @@ def _sinr_batch(
     hsr: np.ndarray,
     hrd: np.ndarray,
     hrr: np.ndarray,
-    search: OptimalSearchSpec,
 ) -> np.ndarray:
     """End-to-end SINR of each realization under the given scheme."""
     if scheme is Scheme.HALF_DUPLEX:
@@ -149,7 +135,7 @@ def _sinr_batch(
         # Searching only realizations whose outage indicator is undecided is
         # exact for Pr(gamma < gamma_th) and skips most of the work.
         _, gamma = _optimal_wt_batch(
-            params, hsr, hrd, hrr, search, resolve_above=params.gamma_th
+            params, hsr, hrd, hrr, resolve_above=params.gamma_th
         )
         return gamma
     wr, wt = _beamformers_batch(scheme, hsr, hrd, hrr)
@@ -200,9 +186,7 @@ def estimate_outage(
             drawn = _chunk_channels(params, key, chunk_idx)
         hsr, hrd, hrr = drawn
         keep = min(_CHUNK, n_trials - chunk_idx * _CHUNK)
-        gamma = _sinr_batch(
-            params, scheme, hsr[:keep], hrd[:keep], hrr[:keep], MC_SEARCH
-        )
+        gamma = _sinr_batch(params, scheme, hsr[:keep], hrd[:keep], hrr[:keep])
         return int(np.count_nonzero(gamma < params.gamma_th))
 
     chunks = range(n_chunks)
@@ -246,9 +230,6 @@ def params_at_alpha(
     return replace(params, alpha=alpha, gamma_th=gamma_th)
 
 
-OutageFn = Callable[[SystemParams, Scheme], float]
-
-
 def _best(points: list[ThroughputPoint]) -> ThroughputPoint:
     """The highest throughput, ties broken toward smaller alpha, then the first seen."""
     return max(points, key=lambda p: (p.throughput, -p.alpha))
@@ -263,23 +244,15 @@ def _eval_point(
     seed: int,
     stream: int,
     threads: int,
-    outage_fn: OutageFn | None,
 ) -> ThroughputPoint:
     p_alpha = params_at_alpha(params, alpha, threshold_mode)
-    std_err = None
-    if outage_fn is not None:
-        outage = outage_fn(p_alpha, scheme)
-    else:
-        est = estimate_outage(
-            p_alpha, scheme, n_trials, seed, threads=threads, stream=stream,
-        )
-        outage, std_err = est.p_hat, est.std_err
+    est = estimate_outage(p_alpha, scheme, n_trials, seed, threads=threads, stream=stream)
     return ThroughputPoint(
         alpha=alpha,
-        outage=outage,
-        throughput=throughput(p_alpha, scheme, outage),
+        outage=est.p_hat,
+        throughput=throughput(p_alpha, scheme, est.p_hat),
         scheme=scheme,
-        std_err=std_err,
+        std_err=est.std_err,
     )
 
 
@@ -329,7 +302,6 @@ def _search_alpha_batch(
     *,
     threshold_mode: str = "fixed",
     threads: int = 1,
-    outage_fn: OutageFn | None = None,
 ) -> list[AlphaSearch]:
     """``search_alpha`` for each scheme (with its own trial count), in lockstep.
 
@@ -353,8 +325,7 @@ def _search_alpha_batch(
         with round_scope():
             points = [
                 _eval_point(
-                    params, scheme, alpha, threshold_mode, n_trials, seed, stream,
-                    threads, outage_fn,
+                    params, scheme, alpha, threshold_mode, n_trials, seed, stream, threads,
                 )
                 for scheme, alpha, n_trials in zip(schemes, asks, trials)
             ]
@@ -371,7 +342,6 @@ def search_alpha(
     *,
     threshold_mode: str = "fixed",
     threads: int = 1,
-    outage_fn: OutageFn | None = None,
 ) -> AlphaSearch:
     """Evaluate R(alpha) on ``alphas``, then refine around the best point.
 
@@ -385,7 +355,7 @@ def search_alpha(
     """
     (found,) = _search_alpha_batch(
         params, [scheme], alphas, [n_trials], seed,
-        threshold_mode=threshold_mode, threads=threads, outage_fn=outage_fn,
+        threshold_mode=threshold_mode, threads=threads,
     )
     return found
 
@@ -399,18 +369,16 @@ def optimize_alpha(
     *,
     threshold_mode: str = "fixed",
     threads: int = 1,
-    outage_fn: OutageFn | None = None,
 ) -> ThroughputPoint:
     """Maximize the delay-constrained throughput over the harvesting split.
 
     Runs ``search_alpha`` on a uniform open grid of ``grid`` points over
-    (0, 1).  ``outage_fn`` replaces the Monte Carlo estimator when an
-    analytic (or test) oracle is preferred.
+    (0, 1).
     """
     if grid < 8:
         raise ValueError("grid must have at least 8 points")
     alphas = [(i + 1) / (grid + 1) for i in range(grid)]
     return search_alpha(
         params, scheme, alphas, n_trials, seed,
-        threshold_mode=threshold_mode, threads=threads, outage_fn=outage_fn,
+        threshold_mode=threshold_mode, threads=threads,
     ).best

@@ -6,7 +6,6 @@ from scipy import stats
 
 from fdrelay import (
     ChannelRealization,
-    OptimalSearchSpec,
     Scheme,
     e2e_sinr,
     mrc_mrt,
@@ -220,10 +219,10 @@ class TestOptimal:
         hsr, hrd, hrr = _chunk_channels(params, _stream_key(5, 0), 0)
         hsr, hrd, hrr = hsr[:1000], hrd[:1000], hrr[:1000]
         _, g_opt = _optimal_wt_batch(params, hsr, hrd, hrr)
-        from fdrelay.simkit import MC_SEARCH, _sinr_batch
+        from fdrelay.simkit import _sinr_batch
 
         for scheme in (Scheme.MRC_MRT, Scheme.TZF, Scheme.RZF):
-            g = _sinr_batch(params, scheme, hsr, hrd, hrr, MC_SEARCH)
+            g = _sinr_batch(params, scheme, hsr, hrd, hrr)
             assert np.all(g_opt >= g - 1e-6)
 
     def test_scalar_matches_batch(self):
@@ -280,9 +279,3 @@ class TestOptimal:
         assert calls and calls[0] > 0
         assert np.array_equal(wt, matched)
         assert np.array_equal(gamma, g_matched)
-
-    def test_search_spec_validation(self):
-        with pytest.raises(ValueError):
-            OptimalSearchSpec(t_grid_points=0)
-        with pytest.raises(ValueError):
-            OptimalSearchSpec(refine_iters=0)

@@ -1,6 +1,8 @@
-"""Property tests: the top-eigenvector kernel, optimal-search dominance, the
-rotation invariance of every scheme's SINR, the batched SINR kernel against
-its n = 1 wrappers, and the monotonicity of every analytic outage CDF."""
+"""Property tests: the top-eigenvector kernel, the hop shapes along the
+leakage range that make the optimal search's crossing bisection exact,
+optimal-search dominance, the rotation invariance of every scheme's SINR, the
+batched SINR kernel against its n = 1 wrappers, and the monotonicity of every
+analytic outage CDF."""
 
 import numpy as np
 import pytest
@@ -25,8 +27,14 @@ from fdrelay import (
     tzf,
 )
 from fdrelay.errors import InfeasibleSchemeError
-from fdrelay.precoding import _optimal_wt_batch, _top_eig_rank_one, check_feasible
-from fdrelay.simkit import MC_SEARCH, _sinr_batch
+from fdrelay.precoding import (
+    _hops_for_wt,
+    _optimal_wt_batch,
+    _top_eig_rank_one,
+    _wt_at_leakage,
+    check_feasible,
+)
+from fdrelay.simkit import _sinr_batch
 
 from helpers import make_params
 
@@ -69,6 +77,50 @@ def test_top_eig_rank_one_is_the_top_eigenvector(case):
     rayleigh = np.einsum("ni,ni->n", np.conj(w), mw).real
     assert np.all(np.abs(rayleigh - top) <= 1e-12 * scale)
     assert np.all(np.linalg.norm(mw - top[:, None] * w, axis=1) <= 1e-12 * scale)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(
+    m_r=st.integers(1, 6),
+    m_t=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    p_s=st.sampled_from([1.0, 10.0, 1e3]),
+    sigma2_li=st.sampled_from([0.01, 0.3, 3.0]),
+)
+def test_crossing_bisection_misses_nothing_on_the_leakage_range(m_r, m_t, seed, p_s, sigma2_li):
+    # On [0, t_mrt] the first hop is c1 (S - t) and the second hop never
+    # falls, so min(first, second) peaks at their crossing or at an end, and
+    # a dense grid of leakage levels finds nothing better than the search.
+    params = make_params(m_r, m_t, p_s, sigma2_li=sigma2_li)
+    rng = np.random.default_rng(seed)
+    chans = [sample_channel(params, rng) for _ in range(2)]
+    hsr, hrd, hrr = (np.stack([getattr(c, name) for c in chans])
+                     for name in ("h_sr", "h_rd", "h_rr"))
+    c1 = params.p_s / params.d1**params.tau
+    s = np.sum(np.abs(hsr) ** 2, axis=1)
+    kts = params.kappa * c1 * s
+    a = np.einsum("nij,ni->nj", np.conj(hrr), hsr)
+    c = np.einsum("nij,nik->njk", np.conj(hrr), hrr)
+    matched = np.conj(hrd) / np.linalg.norm(hrd, axis=1, keepdims=True)
+    aw = np.abs(np.einsum("ni,ni->n", np.conj(a), matched)) ** 2
+    cw = np.einsum("ni,nij,nj->n", np.conj(matched), c, matched).real
+    t_mrt = kts * aw / (1.0 + kts * cw)
+
+    mu = np.zeros(2)
+    firsts, seconds = [], []
+    for frac in np.linspace(0.0, 1.0, 65):
+        t = frac * t_mrt
+        wt, mu = _wt_at_leakage(params, hsr, hrr, np.conj(hrd), a, c, t, mu)
+        first, second = _hops_for_wt(params, hsr, hrd, hrr, wt)
+        assert np.all(np.abs(first - c1 * (s - t)) <= 1e-6 * c1 * s)
+        firsts.append(first)
+        seconds.append(second)
+    seconds = np.array(seconds)
+    assert np.all(seconds[1:] >= seconds[:-1] * (1.0 - 1e-9))
+
+    _, g_search = _optimal_wt_batch(params, hsr, hrd, hrr)
+    g_grid = np.minimum(np.array(firsts), seconds).max(axis=0)
+    assert np.all(g_search >= g_grid * (1.0 - 1e-9))
 
 
 _CLOSED_FORM = {Scheme.MRC_MRT: mrc_mrt, Scheme.TZF: tzf, Scheme.RZF: rzf}
@@ -161,7 +213,7 @@ def test_batch_sinr_matches_its_n1_wrappers(m_r, m_t, seed, sigma2_li, p_s, alph
             check_feasible(scheme, m_r, m_t)
         except InfeasibleSchemeError:
             continue
-        batch = _sinr_batch(params, scheme, *stacked, MC_SEARCH)
+        batch = _sinr_batch(params, scheme, *stacked)
         for i, ch in enumerate(chans):
             scalar = (hd_snr(ch, params) if scheme is Scheme.HALF_DUPLEX
                       else e2e_sinr(ch, params, _CLOSED_FORM[scheme](ch)).e2e)

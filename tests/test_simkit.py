@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fdrelay import (
+    OutageEstimate,
     OutageQuery,
     Scheme,
     estimate_outage,
@@ -24,7 +25,6 @@ from fdrelay.channel import ChannelRealization
 from fdrelay.errors import InfeasibleSchemeError
 from fdrelay.simkit import (
     _REFINE_ITERS,
-    MC_SEARCH,
     _chunk_channels,
     _round_draws,
     _search_alpha_batch,
@@ -56,6 +56,15 @@ def _near_degenerate_channels():
     q, _ = np.linalg.qr(u[:, None], mode="complete")
     h_rd = np.conj((2.1 + 0.9j) * np.array([w[1], -w[0]]))
     yield ChannelRealization(1.1 * q[:, 1], h_rd, 1e4 * np.outer(u, w))
+
+
+def _oracle_estimates(monkeypatch, oracle):
+    """Make every outage estimate of the alpha search ``oracle(params, scheme)``."""
+
+    def fake(params, scheme, n_trials, seed, *, threads=1, stream=0):
+        return OutageEstimate(oracle(params, scheme), 0.0, n_trials, seed)
+
+    monkeypatch.setattr(simkit, "estimate_outage", fake)
 
 
 class TestEstimateOutage:
@@ -138,7 +147,7 @@ class TestBatchScalarConsistency:
             Scheme.RZF: rzf,
         }
         for scheme, maker in makers.items():
-            batch = _sinr_batch(params, scheme, hsr, hrd, hrr, MC_SEARCH)
+            batch = _sinr_batch(params, scheme, hsr, hrd, hrr)
             for i in range(n):
                 ch = ChannelRealization(hsr[i], hrd[i], hrr[i])
                 reference = reference_sinr(ch, params, scheme)
@@ -149,7 +158,7 @@ class TestBatchScalarConsistency:
     def test_hd_matches_per_realization_path(self):
         params = make_params(2, 3, 4.0)
         hsr, hrd, hrr = _chunk_channels(params, _stream_key(12, 0), 0)
-        batch = _sinr_batch(params, Scheme.HALF_DUPLEX, hsr[:64], hrd[:64], hrr[:64], MC_SEARCH)
+        batch = _sinr_batch(params, Scheme.HALF_DUPLEX, hsr[:64], hrd[:64], hrr[:64])
         for i in range(64):
             ch = ChannelRealization(hsr[i], hrd[i], hrr[i])
             reference = reference_sinr(ch, params, Scheme.HALF_DUPLEX)
@@ -167,7 +176,7 @@ class TestBatchScalarConsistency:
             hrd = np.repeat(ch.h_rd[None, :], scales.size, axis=0)
             hrr = scales[:, None, None] * ch.h_rr[None, :, :]
             for scheme, maker in ((Scheme.TZF, tzf), (Scheme.RZF, rzf)):
-                batch = _sinr_batch(params, scheme, hsr, hrd, hrr, MC_SEARCH)
+                batch = _sinr_batch(params, scheme, hsr, hrd, hrr)
                 for i in range(scales.size):
                     scaled = ChannelRealization(hsr[i], hrd[i], hrr[i])
                     scalar = e2e_sinr(scaled, params, maker(scaled)).e2e
@@ -212,12 +221,10 @@ class TestThresholdModes:
 
 
 class TestOptimizeAlpha:
-    def test_zero_outage_oracle_pushes_alpha_to_zero(self):
+    def test_zero_outage_oracle_pushes_alpha_to_zero(self, monkeypatch):
         params = make_params(2, 2)
-        point = optimize_alpha(
-            params, Scheme.TZF, n_trials=1, grid=33, seed=0,
-            outage_fn=lambda p, s: 0.0,
-        )
+        _oracle_estimates(monkeypatch, lambda p, s: 0.0)
+        point = optimize_alpha(params, Scheme.TZF, n_trials=1, grid=33, seed=0)
         assert point.alpha <= 1.5 / 34.0
         assert point.throughput >= params.r_c * (1.0 - 1.5 / 34.0)
 
@@ -225,7 +232,7 @@ class TestOptimizeAlpha:
         with pytest.raises(ValueError):
             optimize_alpha(make_params(2, 2), Scheme.TZF, 100, grid=4, seed=0)
 
-    def test_analytic_oracle_peak(self):
+    def test_analytic_oracle_peak(self, monkeypatch):
         # With the analytic transmit-ZF outage as the oracle, the optimizer
         # must find the curve's true maximum.
         params = make_params(2, 2)
@@ -233,36 +240,33 @@ class TestOptimizeAlpha:
         def oracle(p, scheme):
             return outage_tzf(OutageQuery(p, p.gamma_th))
 
-        point = optimize_alpha(
-            params, Scheme.TZF, n_trials=1, grid=33, seed=0, outage_fn=oracle,
-        )
+        _oracle_estimates(monkeypatch, oracle)
+        point = optimize_alpha(params, Scheme.TZF, n_trials=1, grid=33, seed=0)
         dense = max(
             (1.0 - oracle(params_at_alpha(params, a), None)) * (1.0 - a)
             for a in np.linspace(0.01, 0.99, 197)
         )
         assert point.throughput == pytest.approx(dense, abs=2e-4)
 
-    def test_bracket_is_the_best_points_neighbours(self):
+    def test_bracket_is_the_best_points_neighbours(self, monkeypatch):
         # R(alpha) = 1 - alpha peaks at the smallest grid point, whatever the
         # grid's order; past an end point the bracket reaches halfway to 0
         # or 1, and the refined optimum stays inside the bracket.
         params = make_params(2, 2)
+        _oracle_estimates(monkeypatch, lambda p, s: 0.0)
         cases = {
             (0.9, 0.1, 0.5): (0.05, 0.5),
             (0.3,): (0.15, 0.65),
             (0.2, 0.6): (0.1, 0.6),
         }
         for alphas, bracket in cases.items():
-            found = search_alpha(
-                params, Scheme.TZF, list(alphas), n_trials=1, seed=0,
-                outage_fn=lambda p, s: 0.0,
-            )
+            found = search_alpha(params, Scheme.TZF, list(alphas), n_trials=1, seed=0)
             assert [pt.alpha for pt in found.grid] == list(alphas)
             assert found.bracket == pytest.approx(bracket, rel=1e-12)
             assert bracket[0] <= found.best.alpha <= bracket[1]
             assert found.best.alpha < min(alphas)
 
-    def test_uniform_grid_bracket_matches_the_step_rule(self):
+    def test_uniform_grid_bracket_matches_the_step_rule(self, monkeypatch):
         # On a uniform open grid the neighbours are one step away and the end
         # brackets stop half a step from the boundary.
         params = make_params(2, 2)
@@ -273,9 +277,8 @@ class TestOptimizeAlpha:
             def oracle(p, s, peak=peak):
                 return 0.0 if p.alpha == alphas[peak] else 0.9
 
-            found = search_alpha(
-                params, Scheme.TZF, alphas, n_trials=1, seed=0, outage_fn=oracle,
-            )
+            _oracle_estimates(monkeypatch, oracle)
+            found = search_alpha(params, Scheme.TZF, alphas, n_trials=1, seed=0)
             lo = max(alphas[peak] - step, step / 2.0)
             hi = min(alphas[peak] + step, 1.0 - step / 2.0)
             assert found.bracket == pytest.approx((lo, hi), rel=1e-12)
@@ -339,19 +342,18 @@ class TestLockstepSearch:
             sys.setswitchinterval(interval)
         assert churned == reference
 
-    def test_batch_equals_single_searches_with_an_oracle(self):
+    def test_batch_equals_single_searches_with_an_oracle(self, monkeypatch):
         params = make_params(2, 2)
 
         def oracle(p, scheme):
             return math.exp(-p.kappa * (1 + ALL_SCHEMES.index(scheme)))
 
-        batch = _search_alpha_batch(
-            params, ALL_SCHEMES, SHORT_GRID, ALL_TRIALS, seed=0, outage_fn=oracle,
-        )
+        _oracle_estimates(monkeypatch, oracle)
+        batch = _search_alpha_batch(params, ALL_SCHEMES, SHORT_GRID, ALL_TRIALS, seed=0)
         for scheme, found in zip(ALL_SCHEMES, batch):
-            alone = search_alpha(params, scheme, SHORT_GRID, 1, seed=0, outage_fn=oracle)
+            alone = search_alpha(params, scheme, SHORT_GRID, 1, seed=0)
             assert found == alone
-            assert all(pt.std_err is None for pt in found.grid)
+            assert all(pt.std_err == 0.0 for pt in found.grid)
 
     def test_each_chunk_is_drawn_once_per_round(self, monkeypatch):
         draws = []
