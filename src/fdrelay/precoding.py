@@ -316,10 +316,13 @@ def _constrained_gain_dirs(
 
     # Bracket shrink: bisection alternating with a clipped secant step (the
     # constraint curve is extremely flat near one end, so pure secant stalls).
+    # A row stops moving once it meets the residual, so each row takes the
+    # steps it would take alone, whatever else shares its batch.
     span = np.maximum(np.abs(s_target), np.maximum(np.abs(lam).max(axis=1), 1e-30))
     for it in range(40):
-        if np.all(np.minimum(np.abs(c_lo - s_target), np.abs(c_hi - s_target))
-                  <= 1e-10 * span):
+        moving = ~(np.minimum(np.abs(c_lo - s_target), np.abs(c_hi - s_target))
+                   <= 1e-10 * span)
+        if not moving.any():
             break
         mid = 0.5 * (mu_lo + mu_hi)
         if it % 2:
@@ -332,10 +335,12 @@ def _constrained_gain_dirs(
             mu_mid = mid
         c_mid, _ = constraint_value(mu_mid)
         below = c_mid < s_target
-        mu_lo = np.where(below, mu_mid, mu_lo)
-        c_lo = np.where(below, c_mid, c_lo)
-        mu_hi = np.where(below, mu_hi, mu_mid)
-        c_hi = np.where(below, c_hi, c_mid)
+        up = moving & below
+        down = moving & ~below
+        mu_lo = np.where(up, mu_mid, mu_lo)
+        c_lo = np.where(up, c_mid, c_lo)
+        mu_hi = np.where(down, mu_mid, mu_hi)
+        c_hi = np.where(down, c_mid, c_hi)
     closer_hi = np.abs(c_hi - s_target) < np.abs(c_lo - s_target)
     mu = np.where(closer_hi, mu_hi, mu_lo)
     _, w = constraint_value(mu)
@@ -405,74 +410,68 @@ def _optimal_wt_batch(
     seed, the bisection is exact up to the final bracket width, and the
     best candidate seen is kept.
 
-    With ``resolve_above`` set (outage estimation), realizations whose
-    incumbent SINR already clears that threshold stop being refined, and
-    realizations whose achievability ceiling (interference-free first hop,
-    matched-gain second hop) sits below it are never searched at all; both
-    prunings are exact for the indicator "SINR < threshold".
+    With ``resolve_above`` set (outage estimation), a realization stops
+    being searched once its outage indicator "SINR < threshold" is decided:
+    when its incumbent SINR clears the threshold, or when the bracket ceiling
+    U = min(first(lo), second(hi)) sits below it.  No beamformer beats U: for
+    t < lo, f <= second(t) <= second(lo) < first(lo); on [lo, hi], f <=
+    min(first(lo), second(hi)); for t > hi, f <= first(hi) <= second(hi).  At
+    the start U is the interference-free first hop c1 S against the matched
+    second hop, the most any beamformer reaches, so realizations below that
+    ceiling are never searched at all.  U comes from achieved candidates, so
+    the pruning is exact up to the mu root-find's residual.
     """
     n, m_t = hrd.shape
     _, matched = _beamformers_batch(Scheme.MRC_MRT, hsr, hrd, hrr)
     best_wt = matched.copy()
-    best_gamma = np.minimum(*_hops_for_wt(params, hsr, hrd, hrr, best_wt))
+    first_mrt, second_mrt = _hops_for_wt(params, hsr, hrd, hrr, best_wt)
+    best_gamma = np.minimum(first_mrt, second_mrt)
 
     if m_t == 1:
         return best_wt, best_gamma
 
     d1t = params.d1**params.tau
-    d2t = params.d2**params.tau
     kt = params.kappa * params.p_s / d1t
     s_all = np.sum(np.abs(hsr) ** 2, axis=1)
-
-    if resolve_above is not None:
-        ceiling = np.minimum(
-            params.p_s * s_all / d1t,
-            params.kappa
-            * params.p_s
-            / (d1t * d2t)
-            * s_all
-            * np.sum(np.abs(hrd) ** 2, axis=1),
-        )
-        active = np.flatnonzero((best_gamma < resolve_above) & (ceiling >= resolve_above))
-    else:
-        active = np.arange(n)
-
-    # Without a loop direction the matched combiner picks up no leakage, so
-    # the matched beamformer is already optimal: search only the others.
-    hsr_a, hrd_a, hrr_a = hsr[active], hrd[active], hrr[active]
-    a_vec = np.einsum("nij,ni->nj", np.conj(hrr_a), hsr_a)
-    keep = ~_loop_vanishes(a_vec, hsr_a, hrr_a)
-    active, hsr_a, hrd_a, hrr_a, a_vec = (
-        x[keep] for x in (active, hsr_a, hrd_a, hrr_a, a_vec)
-    )
-    if active.size == 0:
-        return best_wt, best_gamma
-    hdir_a = np.conj(hrd_a)
-    c_mat = np.einsum("nij,nik->njk", np.conj(hrr_a), hrr_a)
-
-    # The bisection bracket [lo, hi] starts as [0, t_mrt], where t_mrt is the
-    # matched beamformer's own leakage level.
-    v_mrt = np.einsum("nij,nj->ni", hrr_a, matched[active])
-    aw = np.abs(np.einsum("ni,ni->n", np.conj(hsr_a), v_mrt)) ** 2
-    cw = np.sum(np.abs(v_mrt) ** 2, axis=1)
-    kts = kt * s_all[active]
+    active = np.arange(n)
     state = {
-        "hsr": hsr_a, "hrd": hrd_a, "hrr": hrr_a, "hdir": hdir_a,
-        "a": a_vec, "c": c_mat, "mu": np.zeros(active.size),
-        "lo": np.zeros(active.size), "hi": kts * aw / (1.0 + kts * cw),
+        "first_lo": params.p_s / d1t * s_all,
+        "second_hi": second_mrt,
+        "a": np.einsum("nij,ni->nj", np.conj(hrr), hsr),
     }
 
-    def compress() -> None:
-        """Drop realizations whose outage indicator is already decided."""
+    def compress(keep: np.ndarray | None = None) -> None:
+        """Drop the realizations not in ``keep`` and those already decided."""
         nonlocal active
-        if resolve_above is None:
-            return
-        keep = best_gamma[active] < resolve_above
+        if keep is None:
+            keep = np.ones(active.size, dtype=bool)
+        if resolve_above is not None:
+            ceiling = np.minimum(state["first_lo"], state["second_hi"])
+            keep &= (best_gamma[active] < resolve_above) & ~(ceiling < resolve_above)
         if keep.all():
             return
         active = active[keep]
         for key, val in state.items():
             state[key] = val[keep]
+
+    # Without a loop direction the matched combiner picks up no leakage, so
+    # the matched beamformer is already optimal: search only the others.
+    compress(~_loop_vanishes(state["a"], hsr, hrr))
+    if active.size == 0:
+        return best_wt, best_gamma
+
+    # The bisection bracket [lo, hi] starts as [0, t_mrt], where t_mrt is the
+    # matched beamformer's own leakage level.
+    hsr_a, hrd_a, hrr_a = hsr[active], hrd[active], hrr[active]
+    v_mrt = np.einsum("nij,nj->ni", hrr_a, matched[active])
+    aw = np.abs(np.einsum("ni,ni->n", np.conj(hsr_a), v_mrt)) ** 2
+    cw = np.sum(np.abs(v_mrt) ** 2, axis=1)
+    kts = kt * s_all[active]
+    state.update(
+        hsr=hsr_a, hrd=hrd_a, hrr=hrr_a, hdir=np.conj(hrd_a),
+        c=np.einsum("nij,nik->njk", np.conj(hrr_a), hrr_a), mu=np.zeros(active.size),
+        lo=np.zeros(active.size), hi=kts * aw / (1.0 + kts * cw),
+    )
 
     def hops_at(t_sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         wt_sub, state["mu"] = _wt_at_leakage(
@@ -502,7 +501,9 @@ def _optimal_wt_batch(
         first, second = hops_at(mid)
         go_up = second < first
         state["lo"] = np.where(go_up, mid, state["lo"])
+        state["first_lo"] = np.where(go_up, first, state["first_lo"])
         state["hi"] = np.where(go_up, state["hi"], mid)
+        state["second_hi"] = np.where(go_up, state["second_hi"], second)
         compress()
 
     return best_wt, best_gamma

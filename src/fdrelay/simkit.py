@@ -18,18 +18,23 @@ kernel ``_search_alpha_batch`` steps the searches of several schemes in
 lockstep: probe round k estimates every scheme's k-th alpha on substream k,
 and the draws depend only on (seed, stream, m_r, m_t, sigma2_li), so the
 schemes of a round share its channel draws: each chunk is drawn once per
-round, not once per scheme.  ``search_alpha`` and ``optimize_alpha`` are its
-n = 1 wrappers, and the throughput sweep of :mod:`fdrelay.experiment` makes
-one batched call.
+round, not once per scheme.  With more than one thread a round scores its
+estimates side by side on one pool, each estimate on one worker, the optimal
+scheme's first; each worker runs in a copy of the caller's context, so it
+reads the round's memo, and a chunk is drawn under a lock by the first
+estimate that needs it.  ``search_alpha`` and ``optimize_alpha`` are its
+n = 1 wrappers, whose estimates split their chunks over the threads instead,
+and the throughput sweep of :mod:`fdrelay.experiment` makes one batched call.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Generator, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from contextvars import ContextVar
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,8 +108,10 @@ def _chunk_channels(
 
 
 # The chunks drawn in the current probe round, keyed on (seed, stream, m_r,
-# m_t, sigma2_li, chunk); None outside a round.
+# m_t, sigma2_li, chunk); None outside a round.  Estimates scored side by side
+# draw into it under the lock.
 _round_draws: ContextVar[dict | None] = ContextVar("_round_draws", default=None)
+_round_lock = threading.Lock()
 
 
 @contextmanager
@@ -177,9 +184,10 @@ def estimate_outage(
         if shared is None:
             return None
         memo_key = (seed, stream, params.m_r, params.m_t, params.sigma2_li, chunk_idx)
-        if memo_key not in shared:
-            shared[memo_key] = _chunk_channels(params, key, chunk_idx)
-        return shared[memo_key]
+        with _round_lock:
+            if memo_key not in shared:
+                shared[memo_key] = _chunk_channels(params, key, chunk_idx)
+            return shared[memo_key]
 
     def count_chunk(chunk_idx: int, drawn: tuple | None) -> int:
         if drawn is None:
@@ -318,18 +326,31 @@ def _search_alpha_batch(
         check_feasible(scheme, params.m_r, params.m_t)
     steps = [_alpha_steps(alphas) for _ in schemes]
     asks = [next(step) for step in steps]
-    # A lone search has no draws to share; outside a round its estimates keep
-    # at most ``threads`` chunks alive rather than a whole stream.
+    # A lone search has no draws to share; outside a round its estimates split
+    # their chunks over ``threads`` workers and keep at most that many alive.
+    # A round of several schemes scores its estimates side by side instead,
+    # each on one worker, the optimal scheme's first since only it searches.
+    side_by_side = len(schemes) > 1 and threads > 1
     round_scope = _probe_round if len(schemes) > 1 else nullcontext
-    for stream in range(len(alphas) + 2 + _REFINE_ITERS):
-        with round_scope():
-            points = [
-                _eval_point(
-                    params, scheme, alpha, threshold_mode, n_trials, seed, stream, threads,
-                )
-                for scheme, alpha, n_trials in zip(schemes, asks, trials)
-            ]
-        asks = [step.send(point) for step, point in zip(steps, points)]
+    order = sorted(range(len(schemes)), key=lambda i: schemes[i] is not Scheme.OPTIMAL)
+    with ThreadPoolExecutor(max_workers=threads) if side_by_side else nullcontext() as pool:
+        for stream in range(len(alphas) + 2 + _REFINE_ITERS):
+            with round_scope():
+                probes = [
+                    (params, schemes[i], asks[i], threshold_mode, trials[i], seed, stream)
+                    for i in order
+                ]
+                if pool is None:
+                    found = [_eval_point(*probe, threads) for probe in probes]
+                else:
+                    # Each worker runs in a copy of this context, which holds the memo.
+                    futures = [
+                        pool.submit(copy_context().run, _eval_point, *probe, 1)
+                        for probe in probes
+                    ]
+                    found = [future.result() for future in futures]
+            points = dict(zip(order, found))
+            asks = [step.send(points[i]) for i, step in enumerate(steps)]
     return asks
 
 

@@ -237,6 +237,16 @@ class TestOptimal:
             g_scalar = e2e_sinr(ch, params, optimal(ch, params)).e2e
             assert g_scalar == pytest.approx(g_batch[i], rel=1e-9)
 
+    def test_batch_rows_equal_the_per_draw_search(self):
+        # Each row of the mu root-find stops once it meets the residual, so
+        # a draw's optimal SINR does not depend on the draws sharing its batch.
+        params = make_params(1, 4, 10.0, sigma2_li=3.0)
+        hsr, hrd, hrr = (x[:400] for x in _chunk_channels(params, _stream_key(1, 0), 0))
+        _, g_batch = _optimal_wt_batch(params, hsr, hrd, hrr)
+        for i in range(400):
+            ch = ChannelRealization(hsr[i], hrd[i], hrr[i])
+            assert e2e_sinr(ch, params, optimal(ch, params)).e2e == g_batch[i], i
+
     def test_single_transmit_antenna_short_circuit(self):
         params = make_params(3, 1)
         ch = sample_channel(params, np.random.default_rng(2))

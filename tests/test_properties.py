@@ -1,8 +1,8 @@
 """Property tests: the top-eigenvector kernel, the hop shapes along the
-leakage range that make the optimal search's crossing bisection exact,
-optimal-search dominance, the rotation invariance of every scheme's SINR, the
-batched SINR kernel against its n = 1 wrappers, and the monotonicity of every
-analytic outage CDF."""
+leakage range that make the optimal search's crossing bisection exact, the
+bracket ceiling that prunes it, optimal-search dominance, the rotation
+invariance of every scheme's SINR, the batched SINR kernel against its n = 1
+wrappers, and the monotonicity of every analytic outage CDF."""
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ from fdrelay.precoding import (
     _wt_at_leakage,
     check_feasible,
 )
-from fdrelay.simkit import _sinr_batch
+from fdrelay.simkit import _chunk_channels, _sinr_batch, _stream_key
 
 from helpers import make_params
 
@@ -123,6 +123,28 @@ def test_crossing_bisection_misses_nothing_on_the_leakage_range(m_r, m_t, seed, 
     assert np.all(g_search >= g_grid * (1.0 - 1e-9))
 
 
+@settings(PROPERTY, max_examples=40)
+@given(
+    m_r=st.integers(1, 6),
+    m_t=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    p_s=st.sampled_from([1.0, 10.0, 100.0]),
+    sigma2_li=st.sampled_from([0.03, 0.3, 3.0]),
+)
+def test_bracket_ceiling_prunes_only_decided_rows(m_r, m_t, seed, p_s, sigma2_li):
+    # No beamformer beats min(first(lo), second(hi)), so a search that drops
+    # the rows whose ceiling falls below the threshold keeps every outage
+    # indicator.  Thresholds halfway between neighbouring SINRs of the batch
+    # put rows just above and just below each one.
+    params = make_params(m_r, m_t, p_s, sigma2_li=sigma2_li)
+    hsr, hrd, hrr = (x[:32] for x in _chunk_channels(params, _stream_key(seed, 0), 0))
+    _, g_full = _optimal_wt_batch(params, hsr, hrd, hrr)
+    ordered = np.sort(g_full)
+    for th in 0.5 * (ordered[1:] + ordered[:-1]):
+        _, g_pruned = _optimal_wt_batch(params, hsr, hrd, hrr, resolve_above=th)
+        assert np.array_equal(g_pruned < th, g_full < th), th
+
+
 _CLOSED_FORM = {Scheme.MRC_MRT: mrc_mrt, Scheme.TZF: tzf, Scheme.RZF: rzf}
 
 
@@ -147,7 +169,7 @@ def test_optimal_dominates_and_wrapper_matches_batch(m_r, m_t, seed, sigma2_li, 
     )
     for i, ch in enumerate(chans):
         g_opt = e2e_sinr(ch, params, optimal(ch, params)).e2e
-        assert g_opt == pytest.approx(g_batch[i], rel=1e-9)
+        assert g_opt == g_batch[i]
         for scheme, design in _CLOSED_FORM.items():
             try:
                 pair = design(ch)

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -305,7 +306,7 @@ class TestLockstepSearch:
     def test_batch_equals_single_searches_for_any_thread_count(self, mode):
         params = make_params(2, 2)
         by_threads = {}
-        for threads in (1, 2):
+        for threads in (1, 2, 3):
             batch = _search_alpha_batch(
                 params, ALL_SCHEMES, SHORT_GRID, ALL_TRIALS, seed=9,
                 threshold_mode=mode, threads=threads,
@@ -318,7 +319,7 @@ class TestLockstepSearch:
                 assert (found.grid, found.bracket, found.best) == (
                     alone.grid, alone.bracket, alone.best), scheme
             by_threads[threads] = batch
-        assert by_threads[1] == by_threads[2]
+        assert by_threads[1] == by_threads[2] == by_threads[3]
         # Shared draws change no estimate: grid point i is the plain
         # estimate on substream i.
         for scheme, n, found in zip(ALL_SCHEMES, ALL_TRIALS, by_threads[2]):
@@ -389,6 +390,44 @@ class TestLockstepSearch:
                 make_params(2, 2), [Scheme.TZF, Scheme.RZF], SHORT_GRID, [100, 100], seed=4,
             )
         assert seen == [1] * len(seen)
+        assert _round_draws.get() is None
+
+    def test_optimal_result_does_not_depend_on_its_place(self):
+        # Side by side, the optimal estimate is submitted first wherever it
+        # sits in ``schemes``; every search still returns what it would alone.
+        params = make_params(3, 3)
+        first = _search_alpha_batch(
+            params, [Scheme.OPTIMAL, Scheme.TZF, Scheme.RZF], SHORT_GRID,
+            [2000, 9000, 9000], seed=13, threads=2,
+        )
+        last = _search_alpha_batch(
+            params, [Scheme.TZF, Scheme.RZF, Scheme.OPTIMAL], SHORT_GRID,
+            [9000, 9000, 2000], seed=13, threads=2,
+        )
+        assert first[0] == last[2]
+        assert first[1:] == last[:2]
+        alone = search_alpha(params, Scheme.OPTIMAL, SHORT_GRID, 2000, seed=13, threads=2)
+        assert first[0] == alone
+
+    def test_memo_is_released_when_a_worker_estimate_fails(self, monkeypatch):
+        seen = []
+        original = simkit._sinr_batch
+
+        def fail_in_worker(params, scheme, *args):
+            seen.append((threading.current_thread() is threading.main_thread(),
+                         _round_draws.get() is not None))
+            if scheme is Scheme.RZF and len(seen) > 2 * 2:  # in the third round
+                raise RuntimeError("boom")
+            return original(params, scheme, *args)
+
+        monkeypatch.setattr(simkit, "_sinr_batch", fail_in_worker)
+        with pytest.raises(RuntimeError, match="boom"):
+            _search_alpha_batch(
+                make_params(2, 2), [Scheme.TZF, Scheme.RZF], SHORT_GRID, [100, 100],
+                seed=4, threads=2,
+            )
+        # Every estimate ran on a worker and read the round's memo.
+        assert seen and all(not main and memo for main, memo in seen)
         assert _round_draws.get() is None
 
     def test_mismatched_trial_counts(self):
