@@ -18,11 +18,15 @@ loop leakage ``t``.  For each ``t`` the inner problem
 
 (with ``A = a a^H``, ``a = H_rr^H h_sr``, ``C = H_rr^H H_rr``, ``kt = kappa
 p_s / d1^tau`` and ``S = ||h_sr||^2``) is solved exactly through the dual of
-its semidefinite relaxation: bisection on the multiplier ``mu`` applied to the
-pencil ``h h^H + mu (A - t C)``, taking the top eigenvector at each step
-from one batched LAPACK eigensolve over all realizations still searched.
-With one trace constraint plus the unit-trace normalization the relaxation is
-tight, so the top eigenvector is a global solution of the inner problem.
+its semidefinite relaxation.  One batched eigensolve diagonalizes ``A - t C``
+into ``diag(lam)``, and in that basis the top eigenvector of the pencil
+``h h^H + mu (A - t C)`` is ``g / (theta - mu lam)`` in closed form (``g``
+is ``h`` in the eigenbasis, ``theta`` the eigenvalue).  Only the ratio of
+``(theta, mu)`` matters, so the multiplier is one angle on a fixed bracket,
+along which the constraint value rises from ``lam_min`` to ``lam_max``; a
+safeguarded Newton root-find on that angle meets the constraint.  With one
+trace constraint plus the unit-trace normalization the relaxation is tight,
+so that eigenvector is a global solution of the inner problem.
 
 The outer 1-D search needs no grid.  With its optimal combiner the first hop
 of a beamformer at leakage ``t`` is exactly ``c1 (S - t)`` (``c1 = p_s /
@@ -255,143 +259,101 @@ def _hops_for_wt(
     return first, second
 
 
-def _top_eig_rank_one(lam_mu: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Top eigenvector of diag(lam_mu) + g g^H, in the diagonalizing basis.
+def _top_eig_rank_one(psi: np.ndarray, lam: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Unit top eigenvector of g g^H + mu diag(lam) at the multiplier angle ``psi``.
 
-    The diagonal unitary P = diag(exp(i arg g)) gives
-    P^H (diag(lam_mu) + g g^H) P = diag(lam_mu) + |g| |g|^T, so the answer
-    is P v with v the top eigenvector of that real symmetric matrix.  One
-    batched real LAPACK eigensolve, cheaper than the complex one, gives v:
-    ``eigh`` sorts eigenvalues ascending, so v is its last column.
+    An eigenvector v whose eigenvalue theta lies above every mu lam_i
+    satisfies (theta - mu lam) v = g (g^H v), so v is proportional to g / d
+    with d = theta - mu lam, and only the ratio of (theta, mu) matters.
+    With ``lam`` sorted ascending, d_i = (theta - mu lam_min) - mu (lam_i -
+    lam_min); writing (theta - mu lam_min, -mu) as (sin psi, cos psi), every
+    d_i = sin psi + (lam_i - lam_min) cos psi is positive exactly for psi in
+    (0, pi - atan(lam_max - lam_min)).  There v = g / d is the top
+    eigenvector at mu = -r cos psi, with eigenvalue r (sin psi - lam_min cos
+    psi), where r = sum |g_i|^2 / d_i.  Measuring the angle from the lam_min
+    end keeps d_min = sin psi exact to rounding as psi -> 0, where the
+    roots of small leakage levels lie.
     """
-    mag = np.abs(g)
-    m = mag[:, :, None] * mag[:, None, :]
-    idx = np.arange(g.shape[1])
-    m[:, idx, idx] += lam_mu
-    return np.exp(1j * np.angle(g)) * np.linalg.eigh(m)[1][:, :, -1]
+    d = np.sin(psi)[:, None] + np.cos(psi)[:, None] * (lam - lam[:, :1])
+    return _normalize_rows(g / d)
 
 
 def _constrained_gain_dirs(
-    lam: np.ndarray,
-    u_basis: np.ndarray,
-    g: np.ndarray,
-    s_target: np.ndarray,
-    mu_init: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    lam: np.ndarray, u_basis: np.ndarray, g: np.ndarray, s_target: np.ndarray
+) -> np.ndarray:
     """Beamformers solving the leakage-constrained gain maximization.
 
-    ``lam``/``u_basis`` diagonalize the constraint matrix M, ``g`` is the
-    matched direction expressed in that basis and ``s_target`` the required
-    quadratic-form value.  Root-finds the dual multiplier mu: the top
-    eigenvector w(mu) of g g^H + mu diag(lam) has a constraint value
-    c(mu) = w^H diag(lam) w that is non-decreasing in mu, and at c(mu) = s
-    the eigenvector is a global maximizer.  ``mu_init`` warm-starts the
-    bracket (the root moves smoothly between bisection probes).  Returns
-    the beamformers and the multipliers found.
+    ``lam``/``u_basis`` diagonalize the constraint matrix M (``lam``
+    ascending), ``g`` is the matched direction expressed in that basis and
+    ``s_target`` the required quadratic-form value.  The top eigenvector
+    w(psi) of :func:`_top_eig_rank_one` whose constraint value
+    c(psi) = sum lam |w|^2 meets ``s_target`` is a global maximizer.  On the
+    angle bracket of that function c rises from lam_min to lam_max: its
+    slope c'(psi) = -2 sum (lam_i - c) |w_i|^2 d_i'/d_i is twice the
+    covariance, under the weights |w|^2, of lam and -d'/d, and -d_i'/d_i
+    increases with lam_i.  So a safeguarded Newton root-find on that fixed
+    bracket takes the Newton step when it stays inside the bracket and
+    bisects otherwise.  A row stops moving once it meets the residual, so
+    each row takes the steps it would take alone, whatever else shares its
+    batch.
     """
-    spread = np.maximum(lam[:, -1] - lam[:, 0], 1e-30)
-    scale = np.maximum(np.sum(np.abs(g) ** 2, axis=1), 1e-30) / spread
-
-    def constraint_value(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = _top_eig_rank_one(mu[:, None] * lam, g)
-        return np.sum(lam * np.abs(w) ** 2, axis=1), w
-
-    delta = np.maximum(0.25 * np.abs(mu_init), 0.5 * scale)
-    mu_lo = mu_init - delta
-    mu_hi = mu_init + delta
-    c_lo, _ = constraint_value(mu_lo)
-    c_hi, _ = constraint_value(mu_hi)
-    for _ in range(12):
-        need_lo = c_lo > s_target
-        need_hi = c_hi < s_target
-        if not (need_lo.any() or need_hi.any()):
-            break
-        width = mu_hi - mu_lo
-        mu_lo = np.where(need_lo, mu_lo - 4.0 * width, mu_lo)
-        mu_hi = np.where(need_hi, mu_hi + 4.0 * width, mu_hi)
-        if need_lo.any():
-            c_lo, _ = constraint_value(mu_lo)
-        if need_hi.any():
-            c_hi, _ = constraint_value(mu_hi)
-
-    # Bracket shrink: bisection alternating with a clipped secant step (the
-    # constraint curve is extremely flat near one end, so pure secant stalls).
-    # A row stops moving once it meets the residual, so each row takes the
-    # steps it would take alone, whatever else shares its batch.
     span = np.maximum(np.abs(s_target), np.maximum(np.abs(lam).max(axis=1), 1e-30))
-    for it in range(40):
-        moving = ~(np.minimum(np.abs(c_lo - s_target), np.abs(c_hi - s_target))
-                   <= 1e-10 * span)
+    shift = lam - lam[:, :1]
+    lo = np.zeros(lam.shape[0])
+    hi = np.pi - np.arctan(shift[:, -1])
+
+    def probe(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        w = _top_eig_rank_one(psi, lam, g)
+        p = np.abs(w) ** 2
+        c = np.sum(lam * p, axis=1)
+        sin, cos = np.sin(psi)[:, None], np.cos(psi)[:, None]
+        rate = (shift * sin - cos) / (sin + shift * cos)  # -d'/d
+        return w, c, 2.0 * np.sum((lam - c[:, None]) * p * rate, axis=1)
+
+    # psi = pi/2 is mu = 0, the matched direction g itself; below the
+    # matched beamformer's own leakage the root lies beneath it.
+    psi = np.full(lam.shape[0], 0.5 * np.pi)
+    w, c, slope = probe(psi)
+    for _ in range(40):
+        below = c < s_target
+        lo = np.where(below, psi, lo)
+        hi = np.where(below, hi, psi)
+        moving = ~(np.abs(c - s_target) <= 1e-12 * span)
         if not moving.any():
             break
-        mid = 0.5 * (mu_lo + mu_hi)
-        if it % 2:
-            secant = mu_lo + (s_target - c_lo) * (mu_hi - mu_lo) / np.where(
-                c_hi > c_lo, c_hi - c_lo, 1.0
-            )
-            inside = (secant > mu_lo) & (secant < mu_hi) & (c_hi > c_lo)
-            mu_mid = np.where(inside, secant, mid)
-        else:
-            mu_mid = mid
-        c_mid, _ = constraint_value(mu_mid)
-        below = c_mid < s_target
-        up = moving & below
-        down = moving & ~below
-        mu_lo = np.where(up, mu_mid, mu_lo)
-        c_lo = np.where(up, c_mid, c_lo)
-        mu_hi = np.where(down, mu_mid, mu_hi)
-        c_hi = np.where(down, c_mid, c_hi)
-    closer_hi = np.abs(c_hi - s_target) < np.abs(c_lo - s_target)
-    mu = np.where(closer_hi, mu_hi, mu_lo)
-    _, w = constraint_value(mu)
-    return np.einsum("nij,nj->ni", u_basis, w), mu
+        with np.errstate(all="ignore"):  # a flat or NaN slope bisects
+            newton = psi - (c - s_target) / slope
+        step = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+        w_step, c_step, slope_step = probe(step)
+        psi = np.where(moving, step, psi)
+        w = np.where(moving[:, None], w_step, w)
+        c = np.where(moving, c_step, c)
+        slope = np.where(moving, slope_step, slope)
+    return np.einsum("nij,nj->ni", u_basis, w)
 
 
 def _wt_at_leakage(
     params: SystemParams,
     hsr: np.ndarray,
-    hrr: np.ndarray,
     h_dir: np.ndarray,
     a_vec: np.ndarray,
     c_mat: np.ndarray,
     t: np.ndarray,
-    mu_init: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Candidate beamformer for each trial's leakage level ``t``.
 
-    ``t = 0`` is the transmit-ZF beamformer (the matched direction projected
-    off ``a_vec``); positive levels go through the dual root find,
-    warm-started at ``mu_init``, and need a loop direction that does not
-    vanish.  Returns beamformers and multipliers.
+    Solves the inner problem of the module docstring in the eigenbasis of
+    its constraint matrix ``a a^H - t C``; the loop direction ``a_vec`` must
+    not vanish.  The search scores its ``t = 0`` end with the transmit-ZF
+    beamformer itself.
     """
-    d1t = params.d1**params.tau
-    kt = params.kappa * params.p_s / d1t
-    s_hsr = np.sum(np.abs(hsr) ** 2, axis=1)
-
-    wt = np.array(h_dir, copy=True)
-    mu_out = np.array(mu_init, copy=True)
-    zero_rows = t <= 0.0
-    pos = ~zero_rows
-
-    if zero_rows.any():
-        proj = _zero_force(h_dir, a_vec, _loop_vanishes(a_vec, hsr, hrr))
-        wt[zero_rows] = proj[zero_rows]
-
-    if pos.any():
-        m_mat = a_vec[pos, :, None] * np.conj(a_vec[pos, None, :]) - t[
-            pos, None, None
-        ] * c_mat[pos]
-        lam, u_basis = np.linalg.eigh(m_mat)
-        g = np.einsum("nij,ni->nj", np.conj(u_basis), h_dir[pos])
-        s_target = t[pos] / (kt * s_hsr[pos])
-        s_target = np.clip(s_target, lam[:, 0], lam[:, -1])
-        wt_pos, mu_pos = _constrained_gain_dirs(
-            lam, u_basis, g, s_target, mu_init[pos]
-        )
-        wt[pos] = wt_pos
-        mu_out[pos] = mu_pos
-
-    return _normalize_rows(wt), mu_out
+    kt = params.kappa * params.p_s / params.d1**params.tau
+    m_mat = a_vec[:, :, None] * np.conj(a_vec[:, None, :]) - t[:, None, None] * c_mat
+    lam, u_basis = np.linalg.eigh(m_mat)
+    g = np.einsum("nij,ni->nj", np.conj(u_basis), h_dir)
+    s_target = t / (kt * np.sum(np.abs(hsr) ** 2, axis=1))
+    s_target = np.clip(s_target, lam[:, 0], lam[:, -1])
+    return _normalize_rows(_constrained_gain_dirs(lam, u_basis, g, s_target))
 
 
 def _optimal_wt_batch(
@@ -419,7 +381,7 @@ def _optimal_wt_batch(
     the start U is the interference-free first hop c1 S against the matched
     second hop, the most any beamformer reaches, so realizations below that
     ceiling are never searched at all.  U comes from achieved candidates, so
-    the pruning is exact up to the mu root-find's residual.
+    the pruning is exact up to the multiplier root-find's residual.
     """
     n, m_t = hrd.shape
     _, matched = _beamformers_batch(Scheme.MRC_MRT, hsr, hrd, hrr)
@@ -469,15 +431,11 @@ def _optimal_wt_batch(
     kts = kt * s_all[active]
     state.update(
         hsr=hsr_a, hrd=hrd_a, hrr=hrr_a, hdir=np.conj(hrd_a),
-        c=np.einsum("nij,nik->njk", np.conj(hrr_a), hrr_a), mu=np.zeros(active.size),
+        c=np.einsum("nij,nik->njk", np.conj(hrr_a), hrr_a),
         lo=np.zeros(active.size), hi=kts * aw / (1.0 + kts * cw),
     )
 
-    def hops_at(t_sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        wt_sub, state["mu"] = _wt_at_leakage(
-            params, state["hsr"], state["hrr"], state["hdir"],
-            state["a"], state["c"], t_sub, state["mu"],
-        )
+    def hops_at(wt_sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         first, second = _hops_for_wt(
             params, state["hsr"], state["hrd"], state["hrr"], wt_sub
         )
@@ -489,7 +447,7 @@ def _optimal_wt_batch(
         return first, second
 
     # The transmit-ZF seed (t = 0) is the other end of the range.
-    hops_at(state["lo"])
+    hops_at(_beamformers_batch(Scheme.TZF, hsr_a, hrd_a, hrr_a)[1])
     compress()
 
     # The first hop falls and the second does not, so the sign of
@@ -498,7 +456,9 @@ def _optimal_wt_batch(
         if active.size == 0:
             break
         mid = 0.5 * (state["lo"] + state["hi"])
-        first, second = hops_at(mid)
+        first, second = hops_at(_wt_at_leakage(
+            params, state["hsr"], state["hdir"], state["a"], state["c"], mid
+        ))
         go_up = second < first
         state["lo"] = np.where(go_up, mid, state["lo"])
         state["first_lo"] = np.where(go_up, first, state["first_lo"])

@@ -190,30 +190,6 @@ class TestOptimal:
             g_mrc = e2e_sinr(ch, params, mrc_mrt(ch)).e2e
             assert g_opt == pytest.approx(g_mrc, rel=1e-9)
 
-    def test_zero_leakage_point_reproduces_tzf_gain(self):
-        # The t = 0 end of the search must produce the null-space-projected
-        # matched beamformer, i.e. the transmit-ZF gain.
-        from fdrelay.precoding import _wt_at_leakage
-
-        params = make_params(2, 3)
-        for ch in _random_channels(params, 20, 17):
-            a = (ch.h_rr.conj().T @ ch.h_sr)[None, :]
-            c = (ch.h_rr.conj().T @ ch.h_rr)[None, :, :]
-            wt0, _ = _wt_at_leakage(
-                params,
-                ch.h_sr[None, :],
-                ch.h_rr[None, :, :],
-                np.conj(ch.h_rd)[None, :],
-                a,
-                c,
-                np.zeros(1),
-                np.zeros(1),
-            )
-            gain0 = abs(ch.h_rd @ wt0[0]) ** 2
-            pair = tzf(ch)
-            gain_tzf = abs(ch.h_rd @ pair.w_t) ** 2
-            assert gain0 == pytest.approx(gain_tzf, rel=1e-9)
-
     def test_dominates_closed_form_schemes(self):
         params = four_antenna_params()
         hsr, hrd, hrr = _chunk_channels(params, _stream_key(5, 0), 0)
@@ -238,8 +214,9 @@ class TestOptimal:
             assert g_scalar == pytest.approx(g_batch[i], rel=1e-9)
 
     def test_batch_rows_equal_the_per_draw_search(self):
-        # Each row of the mu root-find stops once it meets the residual, so
-        # a draw's optimal SINR does not depend on the draws sharing its batch.
+        # Each row of the multiplier root-find stops once it meets the
+        # residual, so a draw's optimal SINR does not depend on the draws
+        # sharing its batch.
         params = make_params(1, 4, 10.0, sigma2_li=3.0)
         hsr, hrd, hrr = (x[:400] for x in _chunk_channels(params, _stream_key(1, 0), 0))
         _, g_batch = _optimal_wt_batch(params, hsr, hrd, hrr)
@@ -269,23 +246,28 @@ class TestOptimal:
     @pytest.mark.parametrize("resolve_above", [None, 3.0])
     def test_non_finite_candidates_never_replace_matched(self, monkeypatch, resolve_above):
         # A NaN candidate loses every "better than the incumbent" test, so the
-        # search returns the matched beamformer and its SINR unchanged.
+        # search returns what its matched and transmit-ZF seeds alone give.
         from fdrelay import precoding
 
         params = four_antenna_params()
         hsr, hrd, hrr = _chunk_channels(params, _stream_key(5, 0), 0)
         hsr, hrd, hrr = hsr[:200], hrd[:200], hrr[:200]
+        with monkeypatch.context() as seeds_only:
+            seeds_only.setattr(precoding, "_CROSSING_STEPS", 0)
+            wt_seeds, g_seeds = _optimal_wt_batch(
+                params, hsr, hrd, hrr, resolve_above=resolve_above
+            )
         calls = []
 
-        def nan_rows(params, hsr, hrr, h_dir, a_vec, c_mat, t, mu_init):
+        def nan_rows(params, hsr, h_dir, a_vec, c_mat, t):
             calls.append(t.size)
-            return np.full_like(h_dir, np.nan), mu_init
+            return np.full_like(h_dir, np.nan)
 
         monkeypatch.setattr(precoding, "_wt_at_leakage", nan_rows)
         with np.errstate(invalid="ignore"):
             wt, gamma = _optimal_wt_batch(params, hsr, hrd, hrr, resolve_above=resolve_above)
         _, matched = precoding._beamformers_batch(Scheme.MRC_MRT, hsr, hrd, hrr)
-        g_matched = np.minimum(*precoding._hops_for_wt(params, hsr, hrd, hrr, matched))
         assert calls and calls[0] > 0
-        assert np.array_equal(wt, matched)
-        assert np.array_equal(gamma, g_matched)
+        assert not np.array_equal(wt_seeds, matched)
+        assert np.array_equal(wt, wt_seeds)
+        assert np.array_equal(gamma, g_seeds)

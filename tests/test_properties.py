@@ -1,12 +1,13 @@
-"""Property tests: the top-eigenvector kernel, the hop shapes along the
-leakage range that make the optimal search's crossing bisection exact, the
-bracket ceiling that prunes it, optimal-search dominance, the rotation
-invariance of every scheme's SINR, the batched SINR kernel against its n = 1
-wrappers, and the monotonicity of every analytic outage CDF."""
+"""Property tests: the top-eigenvector kernel and the multiplier root-find
+built on it, the hop shapes along the leakage range that make the optimal
+search's crossing bisection exact, the bracket ceiling that prunes it,
+optimal-search dominance, the rotation invariance of every scheme's SINR,
+the batched SINR kernel against its n = 1 wrappers, and the monotonicity of
+every analytic outage CDF."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -28,6 +29,7 @@ from fdrelay import (
 )
 from fdrelay.errors import InfeasibleSchemeError
 from fdrelay.precoding import (
+    _constrained_gain_dirs,
     _hops_for_wt,
     _optimal_wt_batch,
     _top_eig_rank_one,
@@ -51,32 +53,75 @@ _entries = st.one_of(
 
 @st.composite
 def rank_one_updates(draw):
+    # lam sorted ascending as from eigh, and no row of g near zero, as the
+    # matched direction never is.
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 6))
-    lam = draw(hnp.arrays(np.float64, (n, m), elements=_entries))
-    mu = draw(st.one_of(st.just(0.0), _entries))
+    lam = np.sort(draw(hnp.arrays(np.float64, (n, m), elements=_entries)), axis=1)
     g_re = draw(hnp.arrays(np.float64, (n, m), elements=_entries))
     g_im = draw(hnp.arrays(np.float64, (n, m), elements=_entries))
-    return mu * lam, g_re + 1j * g_im
+    g = g_re + 1j * g_im
+    assume(np.all(np.linalg.norm(g, axis=1) >= 1e-6))
+    return lam, g
+
+
+def _angle_bracket(lam):
+    return np.zeros(lam.shape[0]), np.pi - np.arctan(lam[:, -1] - lam[:, 0])
 
 
 @PROPERTY
-@given(rank_one_updates())
-def test_top_eig_rank_one_is_the_top_eigenvector(case):
-    lam_mu, g = case
+@given(rank_one_updates(), st.floats(1e-6, 1.0 - 1e-6))
+def test_top_eig_rank_one_is_the_top_eigenvector(case, frac):
+    # At angle psi, g / d is the top eigenvector of g g^H + mu diag(lam) with
+    # mu = -cos(psi) r and eigenvalue (sin(psi) - lam_min cos(psi)) r, where
+    # d = sin(psi) + (lam - lam_min) cos(psi) and r = sum |g|^2 / d.
+    lam, g = case
+    lo, hi = _angle_bracket(lam)
+    psi = lo + frac * (hi - lo)
+    d = np.sin(psi)[:, None] + np.cos(psi)[:, None] * (lam - lam[:, :1])
+    r = np.sum(np.abs(g) ** 2 / d, axis=1)
+    mu = -np.cos(psi) * r
     mat = g[:, :, None] * np.conj(g[:, None, :])
     for i in range(g.shape[1]):
-        mat[:, i, i] += lam_mu[:, i]
-    scale = 1.0 + np.abs(lam_mu).max() + np.sum(np.abs(g) ** 2, axis=1).max()
+        mat[:, i, i] += mu * lam[:, i]
+    scale = 1.0 + np.abs(mu[:, None] * lam).max() + np.sum(np.abs(g) ** 2, axis=1).max()
 
-    w = _top_eig_rank_one(lam_mu, g)
+    w = _top_eig_rank_one(psi, lam, g)
 
     assert np.allclose(np.linalg.norm(w, axis=1), 1.0, rtol=0.0, atol=1e-12)
     top = np.linalg.eigvalsh(mat)[:, -1]
+    assert np.all(np.abs(top - (np.sin(psi) - lam[:, 0] * np.cos(psi)) * r) <= 1e-12 * scale)
     mw = np.einsum("nij,nj->ni", mat, w)
     rayleigh = np.einsum("ni,ni->n", np.conj(w), mw).real
     assert np.all(np.abs(rayleigh - top) <= 1e-12 * scale)
     assert np.all(np.linalg.norm(mw - top[:, None] * w, axis=1) <= 1e-12 * scale)
+
+
+@PROPERTY
+@given(rank_one_updates(), st.floats(0.0, 1.0))
+def test_constraint_value_rises_and_the_root_find_meets_it(case, frac):
+    # c(psi) = sum lam |w(psi)|^2 never falls on the angle bracket, so the
+    # root-find meets its residual for every target that c reaches inside
+    # the bracket and otherwise (zero entries of g, or a target at lam_min
+    # or lam_max) ends closer to it than any angle of the grid.
+    lam, g = case
+    n, m = g.shape
+    span = np.maximum(np.abs(lam).max(axis=1), 1e-30)
+    lo, hi = _angle_bracket(lam)
+    grid = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 203)[1:-1]
+    c_grid = np.stack([
+        np.sum(lam * np.abs(_top_eig_rank_one(psi, lam, g)) ** 2, axis=1) for psi in grid.T
+    ], axis=1)
+    assert np.all(np.diff(c_grid, axis=1) >= -1e-12 * span[:, None])
+
+    s = lam[:, 0] + frac * (lam[:, -1] - lam[:, 0])
+    w = _constrained_gain_dirs(lam, np.broadcast_to(np.eye(m), (n, m, m)), g, s)
+
+    assert np.allclose(np.linalg.norm(w, axis=1), 1.0, rtol=0.0, atol=1e-12)
+    miss = np.abs(np.sum(lam * np.abs(w) ** 2, axis=1) - s)
+    reached = (c_grid.min(axis=1) <= s) & (s <= c_grid.max(axis=1))
+    closest = np.abs(c_grid - s[:, None]).min(axis=1)
+    assert np.all(miss <= np.where(reached, 0.0, closest) + 1e-12 * span)
 
 
 @settings(PROPERTY, max_examples=60)
@@ -87,6 +132,7 @@ def test_top_eig_rank_one_is_the_top_eigenvector(case):
     p_s=st.sampled_from([1.0, 10.0, 1e3]),
     sigma2_li=st.sampled_from([0.01, 0.3, 3.0]),
 )
+@example(m_r=1, m_t=2, seed=3, p_s=1e3, sigma2_li=3.0)
 def test_crossing_bisection_misses_nothing_on_the_leakage_range(m_r, m_t, seed, p_s, sigma2_li):
     # On [0, t_mrt] the first hop is c1 (S - t) and the second hop never
     # falls, so min(first, second) peaks at their crossing or at an end, and
@@ -106,11 +152,10 @@ def test_crossing_bisection_misses_nothing_on_the_leakage_range(m_r, m_t, seed, 
     cw = np.einsum("ni,nij,nj->n", np.conj(matched), c, matched).real
     t_mrt = kts * aw / (1.0 + kts * cw)
 
-    mu = np.zeros(2)
     firsts, seconds = [], []
     for frac in np.linspace(0.0, 1.0, 65):
         t = frac * t_mrt
-        wt, mu = _wt_at_leakage(params, hsr, hrr, np.conj(hrd), a, c, t, mu)
+        wt = _wt_at_leakage(params, hsr, np.conj(hrd), a, c, t)
         first, second = _hops_for_wt(params, hsr, hrd, hrr, wt)
         assert np.all(np.abs(first - c1 * (s - t)) <= 1e-6 * c1 * s)
         firsts.append(first)
