@@ -15,26 +15,23 @@ numbers one draw at a time.
 The harvesting split is optimized by one search (grid plus golden-section
 refinement), written once as a per-scheme step, ``_alpha_steps``.  The
 kernel ``_search_alpha_batch`` steps the searches of several schemes in
-lockstep: probe round k estimates every scheme's k-th alpha on substream k,
-and the draws depend only on (seed, stream, m_r, m_t, sigma2_li), so the
-schemes of a round share its channel draws: each chunk is drawn once per
-round, not once per scheme.  With more than one thread a round scores its
-estimates side by side on one pool, each estimate on one worker, the optimal
-scheme's first; each worker runs in a copy of the caller's context, so it
-reads the round's memo, and a chunk is drawn under a lock by the first
-estimate that needs it.  ``search_alpha`` and ``optimize_alpha`` are its
-n = 1 wrappers, whose estimates split their chunks over the threads instead,
-and the throughput sweep of :mod:`fdrelay.experiment` makes one batched call.
+lockstep.  A channel draw depends only on (seed, m_r, m_t, sigma2_li), never
+on alpha, so each call draws the chunks of its largest trial count once, on
+substream 0, and scores every probe of every scheme on them (common random
+numbers); an estimate with fewer trials reads the leading chunks.  With more
+than one thread a probe round scores its estimates side by side on one pool,
+each estimate on one worker, the optimal scheme's first.  ``search_alpha``
+and ``optimize_alpha`` are its n = 1 wrappers, whose estimates split their
+chunks over the threads instead, and the throughput sweep of
+:mod:`fdrelay.experiment` makes one batched call.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections.abc import Generator, Iterator, Sequence
+from collections.abc import Generator, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
-from contextvars import ContextVar, copy_context
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,27 +104,6 @@ def _chunk_channels(
     return hsr, hrd, hrr
 
 
-# The chunks drawn in the current probe round, keyed on (seed, stream, m_r,
-# m_t, sigma2_li, chunk); None outside a round.  Estimates scored side by side
-# draw into it under the lock.
-_round_draws: ContextVar[dict | None] = ContextVar("_round_draws", default=None)
-_round_lock = threading.Lock()
-
-
-@contextmanager
-def _probe_round() -> Iterator[None]:
-    """Share channel draws among the estimates made in this block.
-
-    Each chunk is drawn once, by the first estimate that needs it, and the
-    memo is released when the block exits, also on an exception.
-    """
-    token = _round_draws.set({})
-    try:
-        yield
-    finally:
-        _round_draws.reset(token)
-
-
 def _sinr_batch(
     params: SystemParams,
     scheme: Scheme,
@@ -162,47 +138,39 @@ def estimate_outage(
     *,
     threads: int = 1,
     stream: int = 0,
+    chunks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
 ) -> OutageEstimate:
     """Monte Carlo outage probability Pr(gamma < gamma_th).
 
     Deterministic given (seed, params, scheme, n_trials) for any thread
     count.  ``stream`` selects an independent substream (used internally by
-    sweeps so different design points never share draws).  Outside a probe
-    round each worker draws the chunks it scores; inside one the calling
-    thread reads them from the round's memo, drawing those not yet there
-    while the workers score the chunks before them.
+    sweeps so different design points never share draws), and each worker
+    draws the chunks it scores.  ``chunks`` instead hands over draws already
+    made: ``_chunk_channels`` results for chunk 0, 1, ..., at least enough
+    for ``n_trials``, of which the leading ones are scored.  The alpha search
+    passes those of substream 0, so an estimate returns exactly what it
+    would drawing them itself with ``stream=0``.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     check_feasible(scheme, params.m_r, params.m_t)
     key = _stream_key(seed, stream)
     n_chunks = -(-n_trials // _CHUNK)
-    shared = _round_draws.get()
 
-    def from_round(chunk_idx: int) -> tuple | None:
-        """The round's draws of the chunk (drawn now if new); None outside a round."""
-        if shared is None:
-            return None
-        memo_key = (seed, stream, params.m_r, params.m_t, params.sigma2_li, chunk_idx)
-        with _round_lock:
-            if memo_key not in shared:
-                shared[memo_key] = _chunk_channels(params, key, chunk_idx)
-            return shared[memo_key]
-
-    def count_chunk(chunk_idx: int, drawn: tuple | None) -> int:
-        if drawn is None:
-            drawn = _chunk_channels(params, key, chunk_idx)
-        hsr, hrd, hrr = drawn
+    def count_chunk(chunk_idx: int) -> int:
+        if chunks is None:
+            hsr, hrd, hrr = _chunk_channels(params, key, chunk_idx)
+        else:
+            hsr, hrd, hrr = chunks[chunk_idx]
         keep = min(_CHUNK, n_trials - chunk_idx * _CHUNK)
         gamma = _sinr_batch(params, scheme, hsr[:keep], hrd[:keep], hrr[:keep])
         return int(np.count_nonzero(gamma < params.gamma_th))
 
-    chunks = range(n_chunks)
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            failures = sum(pool.map(count_chunk, chunks, map(from_round, chunks)))
+            failures = sum(pool.map(count_chunk, range(n_chunks)))
     else:
-        failures = sum(count_chunk(j, from_round(j)) for j in chunks)
+        failures = sum(map(count_chunk, range(n_chunks)))
 
     p_hat = failures / n_trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / n_trials)
@@ -250,11 +218,11 @@ def _eval_point(
     threshold_mode: str,
     n_trials: int,
     seed: int,
-    stream: int,
+    chunks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
     threads: int,
 ) -> ThroughputPoint:
     p_alpha = params_at_alpha(params, alpha, threshold_mode)
-    est = estimate_outage(p_alpha, scheme, n_trials, seed, threads=threads, stream=stream)
+    est = estimate_outage(p_alpha, scheme, n_trials, seed, threads=threads, chunks=chunks)
     return ThroughputPoint(
         alpha=alpha,
         outage=est.p_hat,
@@ -313,10 +281,10 @@ def _search_alpha_batch(
 ) -> list[AlphaSearch]:
     """``search_alpha`` for each scheme (with its own trial count), in lockstep.
 
-    Every search makes ``len(alphas) + 2 + _REFINE_ITERS`` probes.  Round k
-    probes each scheme's k-th alpha on substream k inside one probe round,
-    so the round's estimates share their channel draws, and each search
-    returns exactly what it would alone.
+    Every search makes ``len(alphas) + 2 + _REFINE_ITERS`` probes.  The
+    chunks for ``max(trials)`` are drawn once, on substream 0 of ``seed``,
+    before the first probe, and every probe of every scheme is scored on
+    them, so each search returns exactly what it would alone.
     """
     if not alphas:
         raise ValueError("alphas must not be empty")
@@ -324,31 +292,27 @@ def _search_alpha_batch(
         raise ValueError("need one trial count per scheme")
     for scheme in schemes:
         check_feasible(scheme, params.m_r, params.m_t)
+    key = _stream_key(seed, 0)
+    n_chunks = -(-max(trials, default=0) // _CHUNK)
+    chunks = [_chunk_channels(params, key, j) for j in range(n_chunks)]
     steps = [_alpha_steps(alphas) for _ in schemes]
     asks = [next(step) for step in steps]
-    # A lone search has no draws to share; outside a round its estimates split
-    # their chunks over ``threads`` workers and keep at most that many alive.
+    # A lone search's estimates split their chunks over ``threads`` workers.
     # A round of several schemes scores its estimates side by side instead,
     # each on one worker, the optimal scheme's first since only it searches.
     side_by_side = len(schemes) > 1 and threads > 1
-    round_scope = _probe_round if len(schemes) > 1 else nullcontext
     order = sorted(range(len(schemes)), key=lambda i: schemes[i] is not Scheme.OPTIMAL)
     with ThreadPoolExecutor(max_workers=threads) if side_by_side else nullcontext() as pool:
-        for stream in range(len(alphas) + 2 + _REFINE_ITERS):
-            with round_scope():
-                probes = [
-                    (params, schemes[i], asks[i], threshold_mode, trials[i], seed, stream)
-                    for i in order
-                ]
-                if pool is None:
-                    found = [_eval_point(*probe, threads) for probe in probes]
-                else:
-                    # Each worker runs in a copy of this context, which holds the memo.
-                    futures = [
-                        pool.submit(copy_context().run, _eval_point, *probe, 1)
-                        for probe in probes
-                    ]
-                    found = [future.result() for future in futures]
+        for _ in range(len(alphas) + 2 + _REFINE_ITERS):
+            probes = [
+                (params, schemes[i], asks[i], threshold_mode, trials[i], seed, chunks)
+                for i in order
+            ]
+            if pool is None:
+                found = [_eval_point(*probe, threads) for probe in probes]
+            else:
+                futures = [pool.submit(_eval_point, *probe, 1) for probe in probes]
+                found = [future.result() for future in futures]
             points = dict(zip(order, found))
             asks = [step.send(points[i]) for i, step in enumerate(steps)]
     return asks
@@ -366,13 +330,13 @@ def search_alpha(
 ) -> AlphaSearch:
     """Evaluate R(alpha) on ``alphas``, then refine around the best point.
 
-    Grid point i uses substream i and the golden-section probes continue
-    from ``len(alphas)``, each with a fresh estimate; the returned best is
-    the best point observed anywhere, which keeps the refinement robust to
-    Monte Carlo noise.  Ties break toward smaller alpha.  The refinement
-    bracket is the best grid point's neighbours in the sorted grid; beyond
-    an end point it reaches halfway to the boundary (0 or 1).  This is the
-    n = 1 case of ``_search_alpha_batch``.
+    Every probe is scored on the same channel draws, those of substream 0,
+    so R(alpha) is compared across probes without draw-to-draw noise; the
+    returned best is the best point observed anywhere.  Ties break toward
+    smaller alpha.  The refinement bracket is the best grid point's
+    neighbours in the sorted grid; beyond an end point it reaches halfway to
+    the boundary (0 or 1).  This is the n = 1 case of
+    ``_search_alpha_batch``.
     """
     (found,) = _search_alpha_batch(
         params, [scheme], alphas, [n_trials], seed,

@@ -56,8 +56,8 @@ def benchmark_maxima():
     and the seconds this fixture took.
 
     The five searches of a mode run in lockstep on one 33-point open grid
-    and share each probe round's channel draws; every maximum is the one
-    ``optimize_alpha(BENCH, scheme, n, grid=33, seed=11)`` returns.
+    and score every probe on one set of channel draws; every maximum is the
+    one ``optimize_alpha(BENCH, scheme, n, grid=33, seed=11)`` returns.
     """
     t0 = time.time()
     alphas = [(i + 1) / 34 for i in range(33)]

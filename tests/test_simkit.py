@@ -2,7 +2,6 @@
 
 import math
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -25,9 +24,8 @@ from fdrelay import simkit
 from fdrelay.channel import ChannelRealization
 from fdrelay.errors import InfeasibleSchemeError
 from fdrelay.simkit import (
-    _REFINE_ITERS,
+    _CHUNK,
     _chunk_channels,
-    _round_draws,
     _search_alpha_batch,
     _sinr_batch,
     _stream_key,
@@ -62,7 +60,7 @@ def _near_degenerate_channels():
 def _oracle_estimates(monkeypatch, oracle):
     """Make every outage estimate of the alpha search ``oracle(params, scheme)``."""
 
-    def fake(params, scheme, n_trials, seed, *, threads=1, stream=0):
+    def fake(params, scheme, n_trials, seed, *, threads=1, stream=0, chunks=None):
         return OutageEstimate(oracle(params, scheme), 0.0, n_trials, seed)
 
     monkeypatch.setattr(simkit, "estimate_outage", fake)
@@ -101,6 +99,19 @@ class TestEstimateOutage:
             np.sqrt(est.p_hat * (1.0 - est.p_hat) / est.n_trials), rel=1e-12
         )
         assert est.n_trials == 50_000 and est.seed == 5
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n_trials", [3 * _CHUNK + 517, 5000])
+    def test_pre_drawn_chunks_give_the_drawn_estimate(self, threads, n_trials):
+        # Four chunks of substream 0: all of them for the first count (whose
+        # last chunk is partial), only the leading one for the second.
+        params = make_params(3, 2, sigma2_li=0.2)
+        chunks = [_chunk_channels(params, _stream_key(8, 0), j) for j in range(4)]
+        for scheme in (Scheme.RZF, Scheme.HALF_DUPLEX):
+            given = estimate_outage(params, scheme, n_trials, 8, threads=threads,
+                                    chunks=chunks)
+            drawn = estimate_outage(params, scheme, n_trials, 8, threads=threads)
+            assert given == drawn
 
     def test_infeasible_scheme(self):
         with pytest.raises(InfeasibleSchemeError):
@@ -298,7 +309,6 @@ ALL_SCHEMES = [Scheme.OPTIMAL, Scheme.RZF, Scheme.MRC_MRT, Scheme.TZF, Scheme.HA
 # Two chunks per closed-form estimate, so two threads split each one.
 ALL_TRIALS = [300, 9000, 9000, 9000, 9000]
 SHORT_GRID = [0.2, 0.5, 0.8]
-ROUNDS = len(SHORT_GRID) + 2 + _REFINE_ITERS
 
 
 class TestLockstepSearch:
@@ -320,17 +330,17 @@ class TestLockstepSearch:
                     alone.grid, alone.bracket, alone.best), scheme
             by_threads[threads] = batch
         assert by_threads[1] == by_threads[2] == by_threads[3]
-        # Shared draws change no estimate: grid point i is the plain
-        # estimate on substream i.
+        # Shared draws change no estimate: every grid point is the plain
+        # estimate on substream 0.
         for scheme, n, found in zip(ALL_SCHEMES, ALL_TRIALS, by_threads[2]):
-            for i, point in enumerate(found.grid):
+            for point in found.grid:
                 p = params_at_alpha(params, point.alpha, mode)
-                est = estimate_outage(p, scheme, n, seed=9, stream=i)
+                est = estimate_outage(p, scheme, n, seed=9)
                 assert (point.outage, point.std_err) == (est.p_hat, est.std_err)
 
     def test_shared_draws_under_thread_churn(self):
         # More workers than cores and a short switch interval: the workers
-        # read the round's chunks while the calling thread draws the next.
+        # score side by side on the same read-only chunks of the search.
         params = make_params(3, 3)
         schemes = [Scheme.TZF, Scheme.RZF, Scheme.MRC_MRT]
         trials = [5 * 8192 + 7] * 3
@@ -356,41 +366,26 @@ class TestLockstepSearch:
             assert found == alone
             assert all(pt.std_err == 0.0 for pt in found.grid)
 
-    def test_each_chunk_is_drawn_once_per_round(self, monkeypatch):
+    def test_each_chunk_is_drawn_once_per_search(self, monkeypatch):
         draws = []
         original = simkit._chunk_channels
 
         def counted(params, key, chunk_idx):
-            draws.append((tuple(key), chunk_idx))
+            draws.append(chunk_idx)
             return original(params, key, chunk_idx)
 
         monkeypatch.setattr(simkit, "_chunk_channels", counted)
+        params = make_params(2, 2)
         schemes = [Scheme.TZF, Scheme.RZF, Scheme.HALF_DUPLEX]
-        _search_alpha_batch(
-            make_params(2, 2), schemes, SHORT_GRID, [9000, 100, 9000], seed=4, threads=2,
-        )
-        assert len(draws) == ROUNDS * 2
-        assert len(set(draws)) == len(draws)
-        assert _round_draws.get() is None
-
-    def test_memo_is_released_when_a_round_fails(self, monkeypatch):
-        seen = []
-        original = simkit._sinr_batch
-
-        def fail_mid_round(params, scheme, *args):
-            memo = _round_draws.get()
-            seen.append(None if memo is None else len(memo))
-            if len(seen) == 3 * 2 + 2:  # the second scheme of the fourth round
-                raise RuntimeError("boom")
-            return original(params, scheme, *args)
-
-        monkeypatch.setattr(simkit, "_sinr_batch", fail_mid_round)
-        with pytest.raises(RuntimeError, match="boom"):
+        for threads in (1, 2):
+            draws.clear()
             _search_alpha_batch(
-                make_params(2, 2), [Scheme.TZF, Scheme.RZF], SHORT_GRID, [100, 100], seed=4,
+                params, schemes, SHORT_GRID, [9000, 100, 17000], seed=4, threads=threads,
             )
-        assert seen == [1] * len(seen)
-        assert _round_draws.get() is None
+            assert draws == [0, 1, 2]
+            draws.clear()
+            search_alpha(params, Scheme.TZF, SHORT_GRID, 9000, seed=4, threads=threads)
+            assert draws == [0, 1]
 
     def test_optimal_result_does_not_depend_on_its_place(self):
         # Side by side, the optimal estimate is submitted first wherever it
@@ -408,27 +403,6 @@ class TestLockstepSearch:
         assert first[1:] == last[:2]
         alone = search_alpha(params, Scheme.OPTIMAL, SHORT_GRID, 2000, seed=13, threads=2)
         assert first[0] == alone
-
-    def test_memo_is_released_when_a_worker_estimate_fails(self, monkeypatch):
-        seen = []
-        original = simkit._sinr_batch
-
-        def fail_in_worker(params, scheme, *args):
-            seen.append((threading.current_thread() is threading.main_thread(),
-                         _round_draws.get() is not None))
-            if scheme is Scheme.RZF and len(seen) > 2 * 2:  # in the third round
-                raise RuntimeError("boom")
-            return original(params, scheme, *args)
-
-        monkeypatch.setattr(simkit, "_sinr_batch", fail_in_worker)
-        with pytest.raises(RuntimeError, match="boom"):
-            _search_alpha_batch(
-                make_params(2, 2), [Scheme.TZF, Scheme.RZF], SHORT_GRID, [100, 100],
-                seed=4, threads=2,
-            )
-        # Every estimate ran on a worker and read the round's memo.
-        assert seen and all(not main and memo for main, memo in seen)
-        assert _round_draws.get() is None
 
     def test_mismatched_trial_counts(self):
         with pytest.raises(ValueError):
