@@ -40,7 +40,7 @@ def main() -> None:
             cells.append(throughput(p, scheme, est.p_hat))
         print(f"{alpha:6.2f} " + " ".join(f"{c:12.4f}" for c in cells))
 
-    # The five searches step in lockstep and score every probe on one set of
+    # The five searches run side by side and score every probe on one set of
     # channel draws; each optimum equals optimize_alpha(BENCH, scheme, n, grid=33).
     print("\nper-scheme optimum (33-point grid + golden refinement):")
     schemes, trials = zip(*SCHEMES)

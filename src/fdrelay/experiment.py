@@ -375,9 +375,9 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> SweepResult:
     Each scheme gets one ``grid`` row per alpha point plus one ``summary``
     row holding (alpha*, R(alpha*)), both from its alpha search (grid plus
     golden-section refinement around the best grid point); the half-duplex
-    baseline is always appended.  The feasible schemes' searches run in
-    lockstep in one ``simkit._search_alpha_batch`` call, which draws its
-    channels once and scores every probe of every scheme on them.
+    baseline is always appended.  The feasible schemes' searches run in one
+    ``simkit._search_alpha_batch`` call, which draws its channels once and
+    scores every probe of every scheme on them.
     """
     if cfg.sweep_kind() != "alpha":
         raise ConfigError("throughput sweeps need an alpha sweep")

@@ -38,10 +38,11 @@ beamformer, so below ``t_mrt`` the best gain with leakage at most ``t`` is
 reached at leakage exactly ``t``, and allowing more leakage can only raise
 it.  So the min of the two peaks where they cross, or at an end of that
 range, and the two ends are the transmit-ZF (``t = 0``) and matched
-(``t = t_mrt``) beamformers.  The search scores both ends, then bisects on
-the sign of ``second - first``.  Every candidate is scored by its exactly
-achieved end-to-end SINR, so search imprecision can only cost optimality,
-never feasibility.
+(``t = t_mrt``) beamformers.  The search scores both ends; a nonpositive
+``second - first`` at the matched end or a nonnegative one at the
+transmit-ZF end makes that end optimal, and otherwise it bisects on the
+sign.  Every candidate is scored by its exactly achieved end-to-end SINR,
+so search imprecision can only cost optimality, never feasibility.
 """
 
 from __future__ import annotations
@@ -366,22 +367,23 @@ def _optimal_wt_batch(
     """Best transmit beamformer and its achieved SINR for each realization.
 
     Scores the matched (``t = t_mrt``) and transmit-ZF (``t = 0``) seeds,
-    then halves the bracket ``[0, t_mrt]`` ``_CROSSING_STEPS`` times toward
-    the crossing of the first hop ``c1 (S - t)`` with the nondecreasing
-    second hop.  Since min(first, second) peaks at that crossing or at a
-    seed, the bisection is exact up to the final bracket width, and the
-    best candidate seen is kept.
+    then halves the bracket ``[lo, hi] = [0, t_mrt]`` up to
+    ``_CROSSING_STEPS`` times toward the crossing of the first hop
+    ``c1 (S - t)`` with the nondecreasing second hop.  Since min(first,
+    second) peaks at that crossing or at a seed, the bisection is exact up
+    to the final bracket width, and the best candidate seen is kept.
 
-    With ``resolve_above`` set (outage estimation), a realization stops
-    being searched once its outage indicator "SINR < threshold" is decided:
-    when its incumbent SINR clears the threshold, or when the bracket ceiling
-    U = min(first(lo), second(hi)) sits below it.  No beamformer beats U: for
-    t < lo, f <= second(t) <= second(lo) < first(lo); on [lo, hi], f <=
-    min(first(lo), second(hi)); for t > hi, f <= first(hi) <= second(hi).  At
-    the start U is the interference-free first hop c1 S against the matched
-    second hop, the most any beamformer reaches, so realizations below that
-    ceiling are never searched at all.  U comes from achieved candidates, so
-    the pruning is exact up to the multiplier root-find's residual.
+    No beamformer beats the bracket ceiling U = min(first(lo), second(hi)):
+    for t < lo, f <= second(t) <= second(lo) < first(lo); on [lo, hi], f <=
+    min(first(lo), second(hi)); for t > hi, f <= first(hi) <= second(hi).  So
+    a realization stops once its incumbent reaches U.  U starts as the
+    interference-free first hop c1 S against the matched second hop, and
+    first(lo) becomes the transmit-ZF seed's achieved first hop, so a seed
+    that wins on its hop signs ends the search with no leakage probe.  With
+    ``resolve_above`` set (outage estimation), a realization also stops once
+    its outage indicator "SINR < threshold" is decided: when its incumbent
+    clears the threshold or U sits below it.  U comes from achieved
+    candidates, so every stop is exact up to the root-find's residual.
     """
     n, m_t = hrd.shape
     _, matched = _beamformers_batch(Scheme.MRC_MRT, hsr, hrd, hrr)
@@ -407,8 +409,9 @@ def _optimal_wt_batch(
         nonlocal active
         if keep is None:
             keep = np.ones(active.size, dtype=bool)
+        ceiling = np.minimum(state["first_lo"], state["second_hi"])
+        keep &= ~(best_gamma[active] >= ceiling)
         if resolve_above is not None:
-            ceiling = np.minimum(state["first_lo"], state["second_hi"])
             keep &= (best_gamma[active] < resolve_above) & ~(ceiling < resolve_above)
         if keep.all():
             return
@@ -447,7 +450,7 @@ def _optimal_wt_batch(
         return first, second
 
     # The transmit-ZF seed (t = 0) is the other end of the range.
-    hops_at(_beamformers_batch(Scheme.TZF, hsr_a, hrd_a, hrr_a)[1])
+    state["first_lo"] = hops_at(_beamformers_batch(Scheme.TZF, hsr_a, hrd_a, hrr_a)[1])[0]
     compress()
 
     # The first hop falls and the second does not, so the sign of

@@ -13,25 +13,24 @@ per-realization API there is their n = 1 wrapper, so it computes the same
 numbers one draw at a time.
 
 The harvesting split is optimized by one search (grid plus golden-section
-refinement), written once as a per-scheme step, ``_alpha_steps``.  The
-kernel ``_search_alpha_batch`` steps the searches of several schemes in
-lockstep.  A channel draw depends only on (seed, m_r, m_t, sigma2_li), never
-on alpha, so each call draws the chunks of its largest trial count once, on
-substream 0, and scores every probe of every scheme on them (common random
-numbers); an estimate with fewer trials reads the leading chunks.  With more
-than one thread a probe round scores its estimates side by side on one pool,
-each estimate on one worker, the optimal scheme's first.  ``search_alpha``
-and ``optimize_alpha`` are its n = 1 wrappers, whose estimates split their
-chunks over the threads instead, and the throughput sweep of
-:mod:`fdrelay.experiment` makes one batched call.
+refinement), written once as ``_alpha_search``.  The kernel
+``_search_alpha_batch`` runs it for several schemes.  A channel draw depends
+only on (seed, m_r, m_t, sigma2_li), never on alpha, so each call draws the
+chunks of its largest trial count once, on substream 0, and scores every
+probe of every scheme on them (common random numbers); an estimate with
+fewer trials reads the leading chunks.  With more than one thread the
+schemes' whole searches run side by side on one pool, one worker each, the
+optimal scheme's first.  ``search_alpha`` and ``optimize_alpha`` are its
+n = 1 wrappers, whose estimates split their chunks over the threads instead,
+and the throughput sweep of :mod:`fdrelay.experiment` makes one batched
+call.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Generator, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -196,13 +195,18 @@ def params_at_alpha(
 
     In ``rate_coupled`` mode the SINR threshold follows the active-time
     fraction as gamma_th = 2^(r_c/(1-alpha)) - 1; in ``fixed`` mode the
-    configured threshold is kept as-is.
+    configured threshold is kept as-is.  A coupled threshold beyond the
+    float range is the largest float, which no SINR reaches, so such an
+    alpha is in outage on every draw.
     """
     if threshold_mode not in ("fixed", "rate_coupled"):
         raise ValueError(f"unknown threshold_mode {threshold_mode!r}")
     gamma_th = params.gamma_th
     if threshold_mode == "rate_coupled":
-        gamma_th = 2.0 ** (params.r_c / (1.0 - alpha)) - 1.0
+        try:
+            gamma_th = 2.0 ** (params.r_c / (1.0 - alpha)) - 1.0
+        except OverflowError:
+            gamma_th = float(np.finfo(float).max)
     return replace(params, alpha=alpha, gamma_th=gamma_th)
 
 
@@ -232,18 +236,15 @@ def _eval_point(
     )
 
 
-def _alpha_steps(
-    alphas: Sequence[float],
-) -> Generator[float | AlphaSearch, ThroughputPoint, None]:
-    """One scheme's alpha search, one probe at a time.
+def _alpha_search(
+    evaluate: Callable[[float], ThroughputPoint], alphas: Sequence[float]
+) -> AlphaSearch:
+    """One scheme's alpha search, with ``evaluate`` scoring each probe.
 
-    Yields each alpha to probe and is sent back its point: first the grid,
-    then two golden-section probes and ``_REFINE_ITERS`` more.  After that
-    last probe it yields the ``AlphaSearch``.
+    Probes the grid, then two golden-section points and ``_REFINE_ITERS``
+    more inside the bracket around the best grid point.
     """
-    grid = []
-    for alpha in alphas:
-        grid.append((yield alpha))
+    grid = [evaluate(alpha) for alpha in alphas]
     ordered = sorted(set(alphas))
     k = ordered.index(_best(grid).alpha)
     lo = ordered[k - 1] if k > 0 else ordered[0] / 2.0
@@ -252,21 +253,20 @@ def _alpha_steps(
 
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1 = yield x1
-    f2 = yield x2
+    f1, f2 = evaluate(x1), evaluate(x2)
     refined = [f1, f2]
     for _ in range(_REFINE_ITERS):
         if f1.throughput < f2.throughput:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
-            f2 = yield x2
+            f2 = evaluate(x2)
             refined.append(f2)
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
-            f1 = yield x1
+            f1 = evaluate(x1)
             refined.append(f1)
-    yield AlphaSearch(grid=tuple(grid), bracket=bracket, best=_best(grid + refined))
+    return AlphaSearch(grid=tuple(grid), bracket=bracket, best=_best(grid + refined))
 
 
 def _search_alpha_batch(
@@ -279,7 +279,7 @@ def _search_alpha_batch(
     threshold_mode: str = "fixed",
     threads: int = 1,
 ) -> list[AlphaSearch]:
-    """``search_alpha`` for each scheme (with its own trial count), in lockstep.
+    """``search_alpha`` for each scheme, with its own trial count.
 
     Every search makes ``len(alphas) + 2 + _REFINE_ITERS`` probes.  The
     chunks for ``max(trials)`` are drawn once, on substream 0 of ``seed``,
@@ -295,27 +295,20 @@ def _search_alpha_batch(
     key = _stream_key(seed, 0)
     n_chunks = -(-max(trials, default=0) // _CHUNK)
     chunks = [_chunk_channels(params, key, j) for j in range(n_chunks)]
-    steps = [_alpha_steps(alphas) for _ in schemes]
-    asks = [next(step) for step in steps]
-    # A lone search's estimates split their chunks over ``threads`` workers.
-    # A round of several schemes scores its estimates side by side instead,
-    # each on one worker, the optimal scheme's first since only it searches.
-    side_by_side = len(schemes) > 1 and threads > 1
+
+    def search(i: int, threads: int) -> AlphaSearch:
+        return _alpha_search(lambda alpha: _eval_point(
+            params, schemes[i], alpha, threshold_mode, trials[i], seed, chunks, threads
+        ), alphas)
+
+    if len(schemes) < 2 or threads < 2:
+        # One search at a time; each estimate splits its chunks over the threads.
+        return [search(i, threads) for i in range(len(schemes))]
+    # Whole searches side by side, one worker each, the costly optimal one first.
     order = sorted(range(len(schemes)), key=lambda i: schemes[i] is not Scheme.OPTIMAL)
-    with ThreadPoolExecutor(max_workers=threads) if side_by_side else nullcontext() as pool:
-        for _ in range(len(alphas) + 2 + _REFINE_ITERS):
-            probes = [
-                (params, schemes[i], asks[i], threshold_mode, trials[i], seed, chunks)
-                for i in order
-            ]
-            if pool is None:
-                found = [_eval_point(*probe, threads) for probe in probes]
-            else:
-                futures = [pool.submit(_eval_point, *probe, 1) for probe in probes]
-                found = [future.result() for future in futures]
-            points = dict(zip(order, found))
-            asks = [step.send(points[i]) for i, step in enumerate(steps)]
-    return asks
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = {i: pool.submit(search, i, 1) for i in order}
+        return [futures[i].result() for i in range(len(schemes))]
 
 
 def search_alpha(

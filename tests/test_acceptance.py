@@ -55,7 +55,7 @@ def benchmark_maxima():
     """Optimized throughput of every scheme at the 4x4 benchmark, per mode,
     and the seconds this fixture took.
 
-    The five searches of a mode run in lockstep on one 33-point open grid
+    The five searches of a mode run side by side on one 33-point open grid
     and score every probe on one set of channel draws; every maximum is the
     one ``optimize_alpha(BENCH, scheme, n, grid=33, seed=11)`` returns.
     """

@@ -1,5 +1,6 @@
 """Experiment runner: config round-trips, sweep shapes, CLI exit codes."""
 
+import csv
 import json
 
 import numpy as np
@@ -316,6 +317,30 @@ class TestOutputsAndCli:
         assert cli_main(["throughput", "--config", str(cfg_path)]) == 0
         lines = out_path.read_text().splitlines()
         assert sum("summary" in line for line in lines) == 2  # tzf + hd
+
+    def test_cli_throughput_past_the_float_range(self, tmp_path):
+        # At alpha = 0.9995 the coupled threshold 2^(r_c/(1-alpha)) - 1 is
+        # past the float range: no draw reaches it, so that probe is in
+        # outage on every draw and earns nothing.
+        cfg_path = tmp_path / "cfg.json"
+        out_path = tmp_path / "thr.csv"
+        cfg = base_config(
+            schemes=["optimal", "tzf"], sweep={"alpha": {"values": [0.5, 0.9995]}},
+            threshold_mode="rate_coupled", output_path=str(out_path),
+            n_trials=2000, outputs=["monte_carlo"],
+        )
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert cli_main(["throughput", "--config", str(cfg_path)]) == 0
+        rows = list(csv.DictReader(
+            line for line in out_path.read_text().splitlines() if not line.startswith("#")
+        ))
+        far = [r for r in rows if r["kind"] == "grid" and float(r["alpha"]) == 0.9995]
+        assert [r["scheme"] for r in far] == ["optimal", "tzf", "half_duplex"]
+        for row in far:
+            assert (float(row["outage"]), float(row["throughput"])) == (1.0, 0.0)
+        for row in rows:
+            if row["kind"] == "summary":
+                assert float(row["alpha"]) < 0.9995 and float(row["throughput"]) > 0.0
 
 
 CHECK_NAMES = [

@@ -224,6 +224,36 @@ class TestOptimal:
             ch = ChannelRealization(hsr[i], hrd[i], hrr[i])
             assert e2e_sinr(ch, params, optimal(ch, params)).e2e == g_batch[i], i
 
+    @pytest.mark.parametrize("params", [
+        four_antenna_params(), make_params(2, 3, 1e3, sigma2_li=0.3),
+    ], ids=["matched_wins_mostly", "tzf_wins_mostly"])
+    def test_a_winning_seed_ends_the_unpruned_search(self, monkeypatch, params):
+        # second <= first at the matched beamformer, or second >= first at
+        # transmit ZF, makes that seed optimal: no leakage level is probed
+        # and the search returns the better seed.
+        from fdrelay import precoding
+
+        hsr, hrd, hrr = (x[:400] for x in _chunk_channels(params, _stream_key(5, 0), 0))
+        seeds = [precoding._beamformers_batch(s, hsr, hrd, hrr)[1]
+                 for s in (Scheme.MRC_MRT, Scheme.TZF)]
+        (f_mrt, s_mrt), (f_tzf, s_tzf) = (
+            precoding._hops_for_wt(params, hsr, hrd, hrr, wt) for wt in seeds
+        )
+        matched_wins, tzf_wins = s_mrt <= f_mrt, s_tzf >= f_tzf
+        assert matched_wins.any() and tzf_wins.any()
+        rows = matched_wins | tzf_wins
+        calls = []
+
+        def probe(params, hsr, h_dir, a_vec, c_mat, t):
+            calls.append(t.size)
+            return np.full_like(h_dir, np.nan)
+
+        monkeypatch.setattr(precoding, "_wt_at_leakage", probe)
+        _, gamma = _optimal_wt_batch(params, hsr[rows], hrd[rows], hrr[rows])
+        assert calls == []
+        seed_best = np.maximum(np.minimum(f_mrt, s_mrt), np.minimum(f_tzf, s_tzf))
+        assert np.array_equal(gamma, seed_best[rows])
+
     def test_single_transmit_antenna_short_circuit(self):
         params = make_params(3, 1)
         ch = sample_channel(params, np.random.default_rng(2))

@@ -312,6 +312,8 @@ SHORT_GRID = [0.2, 0.5, 0.8]
 
 
 class TestLockstepSearch:
+    """Each batched search returns what it would alone, for any thread count."""
+
     @pytest.mark.parametrize("mode", ["fixed", "rate_coupled"])
     def test_batch_equals_single_searches_for_any_thread_count(self, mode):
         params = make_params(2, 2)
@@ -339,8 +341,8 @@ class TestLockstepSearch:
                 assert (point.outage, point.std_err) == (est.p_hat, est.std_err)
 
     def test_shared_draws_under_thread_churn(self):
-        # More workers than cores and a short switch interval: the workers
-        # score side by side on the same read-only chunks of the search.
+        # More workers than cores and a short switch interval: the three
+        # searches run side by side on the same read-only chunks.
         params = make_params(3, 3)
         schemes = [Scheme.TZF, Scheme.RZF, Scheme.MRC_MRT]
         trials = [5 * 8192 + 7] * 3
@@ -388,7 +390,7 @@ class TestLockstepSearch:
             assert draws == [0, 1]
 
     def test_optimal_result_does_not_depend_on_its_place(self):
-        # Side by side, the optimal estimate is submitted first wherever it
+        # Side by side, the optimal search is submitted first wherever it
         # sits in ``schemes``; every search still returns what it would alone.
         params = make_params(3, 3)
         first = _search_alpha_batch(
