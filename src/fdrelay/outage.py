@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import exp1
 
 from .channel import SystemParams
 from .precoding import Scheme, check_feasible
@@ -43,9 +44,6 @@ __all__ = [
     "outage_hd",
     "diversity_order",
 ]
-
-_SERIES_MAX_TERMS = 500
-_SERIES_REL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -122,48 +120,39 @@ def outage_tzf(q: OutageQuery) -> float:
 def outage_tzf_asymptotic(q: OutageQuery) -> float:
     """High-SNR approximation of the transmit-ZF outage.
 
-    Three regimes, keyed by m_t versus m_r + 1: the first hop dominates
-    (decay lam^m_r, coefficient summed as a series over the second-hop tail),
-    the balanced case (extra log(rho1) factor), and the second hop dominates
-    (closed form, decay lam^(m_t-1)).
+    Three regimes, keyed by a = m_t - 1 versus m_r, each in closed form with
+    c = d2^tau/kappa.  Substituting x = lam*y in the exact CDF leaves
+    lam^m_r/Gamma(m_r) * int_1^inf P(a, c/y) y^(m_r-1) dy, which converges
+    for a > m_r; integrating by parts in u = c/y gives
+
+        F ~ lam^m_r/m_r! [Q(a, c) + c^m_r Gamma(a-m_r)/Gamma(a) P(a-m_r, c)].
+
+    At a = m_r the integral diverges as -ln(lam), and the e^-x factor cut
+    off at y ~ 1/lam gives the balanced law
+
+        F ~ lam^m_r/m_r! [Q(m_r, c) + c^m_r/Gamma(m_r)
+                          (-ln(lam*c) + 2 psi(1) + 1/m_r - E1(c))].
+
+    For a < m_r the second hop dominates, with decay lam^(m_t-1).
     """
     p = q.params
     check_feasible(Scheme.TZF, p.m_r, p.m_t)
-    m_r, m_t = p.m_r, p.m_t
+    m_r, a = p.m_r, p.m_t - 1
     lam = q.lam
     c = p.d2**p.tau / p.kappa
+    scale = lam**m_r / math.exp(ln_gamma(m_r + 1))
 
-    if m_t == m_r + 1:
-        bracket = 1.0 + (
-            c**m_r
-            / math.exp(ln_gamma(m_r))
-            * (math.log(p.rho1) - math.log(p.d1**p.tau * q.z) + digamma(1.0))
+    if a == m_r:
+        log_term = (
+            -math.log(lam) - math.log(c) + 2.0 * digamma(1.0) + 1.0 / m_r - float(exp1(c))
         )
-        return bracket * lam**m_r / math.exp(ln_gamma(m_r + 1))
+        return scale * (reg_gamma_q(m_r, c) + c**m_r / math.exp(ln_gamma(m_r)) * log_term)
+    if a > m_r:
+        ratio = math.exp(ln_gamma(a - m_r) - ln_gamma(a))
+        return scale * (reg_gamma_q(a, c) + c**m_r * ratio * reg_gamma_p(a - m_r, c))
 
-    if m_t > m_r + 1:
-        series = 0.0
-        for k in range(_SERIES_MAX_TERMS + 1):
-            if k == m_r - m_t + 1:
-                continue
-            log_mag = (
-                (m_t + k - 1) * math.log(c)
-                - ln_gamma(k + 1.0)
-                - math.log(k + m_t - 1)
-                - math.log(abs(m_r - m_t - k + 1))
-            )
-            sign = (-1.0) ** (k + 1) * math.copysign(1.0, m_r - m_t - k + 1)
-            term = sign * math.exp(log_mag)
-            series += term
-            if abs(term) < _SERIES_REL_TOL * max(abs(series), 1e-300):
-                break
-        coeff = 1.0 / math.exp(ln_gamma(m_r + 1)) + series / math.exp(
-            ln_gamma(m_t - 1) + ln_gamma(m_r)
-        )
-        return coeff * lam**m_r
-
-    coeff = math.exp(ln_gamma(m_r - m_t + 1) - ln_gamma(m_t) - ln_gamma(m_r))
-    return coeff * c ** (m_t - 1) * lam ** (m_t - 1)
+    coeff = math.exp(ln_gamma(m_r - a) - ln_gamma(a + 1) - ln_gamma(m_r))
+    return coeff * c**a * lam**a
 
 
 def outage_rzf(q: OutageQuery) -> float:

@@ -18,17 +18,18 @@ refinement), written once as ``_alpha_search``.  The kernel
 only on (seed, m_r, m_t, sigma2_li), never on alpha, so each call draws the
 chunks of its largest trial count once, on substream 0, and scores every
 probe of every scheme on them (common random numbers); an estimate with
-fewer trials reads the leading chunks.  With more than one thread the
-schemes' whole searches run side by side on one pool, one worker each, the
-optimal scheme's first.  ``search_alpha`` and ``optimize_alpha`` are its
-n = 1 wrappers, whose estimates split their chunks over the threads instead,
-and the throughput sweep of :mod:`fdrelay.experiment` makes one batched
-call.
+fewer trials reads the leading chunks.  The schemes' whole searches run on
+one pool of ``threads`` workers, the optimal scheme's first; side by side,
+each search scores on its own worker, while a lone search splits each
+estimate's chunks over all the threads.  ``optimize_alpha`` is its n = 1
+wrapper, and the throughput sweep of :mod:`fdrelay.experiment` makes one
+batched call.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -45,7 +46,6 @@ __all__ = [
     "AlphaSearch",
     "estimate_outage",
     "throughput",
-    "search_alpha",
     "optimize_alpha",
 ]
 
@@ -75,16 +75,14 @@ class ThroughputPoint:
     alpha: float
     outage: float
     throughput: float
-    scheme: Scheme
     std_err: float
 
 
 @dataclass(frozen=True)
 class AlphaSearch:
-    """Grid evaluations, the refinement bracket and the best point seen."""
+    """Grid evaluations and the best point seen."""
 
     grid: tuple[ThroughputPoint, ...]
-    bracket: tuple[float, float]
     best: ThroughputPoint
 
 
@@ -125,6 +123,11 @@ def _sinr_batch(
     return np.minimum(first, second)
 
 
+def _check_threads(threads: int) -> None:
+    if not isinstance(threads, numbers.Integral) or isinstance(threads, bool) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+
+
 def _stream_key(seed: int, stream: int) -> np.ndarray:
     return np.random.SeedSequence(entropy=[seed, stream]).generate_state(2, np.uint64)
 
@@ -152,6 +155,7 @@ def estimate_outage(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
+    _check_threads(threads)
     check_feasible(scheme, params.m_r, params.m_t)
     key = _stream_key(seed, stream)
     n_chunks = -(-n_trials // _CHUNK)
@@ -231,7 +235,6 @@ def _eval_point(
         alpha=alpha,
         outage=est.p_hat,
         throughput=throughput(p_alpha, scheme, est.p_hat),
-        scheme=scheme,
         std_err=est.std_err,
     )
 
@@ -242,14 +245,16 @@ def _alpha_search(
     """One scheme's alpha search, with ``evaluate`` scoring each probe.
 
     Probes the grid, then two golden-section points and ``_REFINE_ITERS``
-    more inside the bracket around the best grid point.
+    more inside the bracket around the best grid point: its neighbours in
+    the sorted grid, reaching halfway to the boundary (0 or 1) beyond an end
+    point.  The best point is the best seen anywhere, grid or refinement;
+    ties break toward smaller alpha.
     """
     grid = [evaluate(alpha) for alpha in alphas]
     ordered = sorted(set(alphas))
     k = ordered.index(_best(grid).alpha)
     lo = ordered[k - 1] if k > 0 else ordered[0] / 2.0
     hi = ordered[k + 1] if k + 1 < len(ordered) else (ordered[-1] + 1.0) / 2.0
-    bracket = (lo, hi)
 
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
@@ -266,7 +271,7 @@ def _alpha_search(
             x1 = hi - _GOLDEN * (hi - lo)
             f1 = evaluate(x1)
             refined.append(f1)
-    return AlphaSearch(grid=tuple(grid), bracket=bracket, best=_best(grid + refined))
+    return AlphaSearch(grid=tuple(grid), best=_best(grid + refined))
 
 
 def _search_alpha_batch(
@@ -279,13 +284,17 @@ def _search_alpha_batch(
     threshold_mode: str = "fixed",
     threads: int = 1,
 ) -> list[AlphaSearch]:
-    """``search_alpha`` for each scheme, with its own trial count.
+    """``_alpha_search`` on ``alphas`` for each scheme, with its own trial count.
 
     Every search makes ``len(alphas) + 2 + _REFINE_ITERS`` probes.  The
     chunks for ``max(trials)`` are drawn once, on substream 0 of ``seed``,
     before the first probe, and every probe of every scheme is scored on
-    them, so each search returns exactly what it would alone.
+    them, so each search returns exactly what it would alone.  One pool of
+    ``threads`` workers runs the whole searches, the costly optimal one
+    first: side by side each scores on one thread, and a lone search splits
+    each estimate's chunks over all of them.
     """
+    _check_threads(threads)
     if not alphas:
         raise ValueError("alphas must not be empty")
     if len(trials) != len(schemes):
@@ -296,46 +305,17 @@ def _search_alpha_batch(
     n_chunks = -(-max(trials, default=0) // _CHUNK)
     chunks = [_chunk_channels(params, key, j) for j in range(n_chunks)]
 
-    def search(i: int, threads: int) -> AlphaSearch:
+    per_estimate = threads if len(schemes) == 1 else 1
+
+    def search(i: int) -> AlphaSearch:
         return _alpha_search(lambda alpha: _eval_point(
-            params, schemes[i], alpha, threshold_mode, trials[i], seed, chunks, threads
+            params, schemes[i], alpha, threshold_mode, trials[i], seed, chunks, per_estimate
         ), alphas)
 
-    if len(schemes) < 2 or threads < 2:
-        # One search at a time; each estimate splits its chunks over the threads.
-        return [search(i, threads) for i in range(len(schemes))]
-    # Whole searches side by side, one worker each, the costly optimal one first.
     order = sorted(range(len(schemes)), key=lambda i: schemes[i] is not Scheme.OPTIMAL)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {i: pool.submit(search, i, 1) for i in order}
+        futures = {i: pool.submit(search, i) for i in order}
         return [futures[i].result() for i in range(len(schemes))]
-
-
-def search_alpha(
-    params: SystemParams,
-    scheme: Scheme,
-    alphas: list[float],
-    n_trials: int,
-    seed: int,
-    *,
-    threshold_mode: str = "fixed",
-    threads: int = 1,
-) -> AlphaSearch:
-    """Evaluate R(alpha) on ``alphas``, then refine around the best point.
-
-    Every probe is scored on the same channel draws, those of substream 0,
-    so R(alpha) is compared across probes without draw-to-draw noise; the
-    returned best is the best point observed anywhere.  Ties break toward
-    smaller alpha.  The refinement bracket is the best grid point's
-    neighbours in the sorted grid; beyond an end point it reaches halfway to
-    the boundary (0 or 1).  This is the n = 1 case of
-    ``_search_alpha_batch``.
-    """
-    (found,) = _search_alpha_batch(
-        params, [scheme], alphas, [n_trials], seed,
-        threshold_mode=threshold_mode, threads=threads,
-    )
-    return found
 
 
 def optimize_alpha(
@@ -350,13 +330,19 @@ def optimize_alpha(
 ) -> ThroughputPoint:
     """Maximize the delay-constrained throughput over the harvesting split.
 
-    Runs ``search_alpha`` on a uniform open grid of ``grid`` points over
-    (0, 1).
+    Runs ``_search_alpha_batch`` for the one scheme on a uniform open grid of
+    ``grid`` points over (0, 1); each estimate splits its chunks over the
+    threads.  Every probe is scored on the same channel draws, those of
+    substream 0, so R(alpha) is compared across probes without draw-to-draw
+    noise; the returned point is the best observed anywhere, ties broken
+    toward smaller alpha.  An end point's refinement bracket reaches halfway
+    to the boundary (0 or 1).
     """
     if grid < 8:
         raise ValueError("grid must have at least 8 points")
     alphas = [(i + 1) / (grid + 1) for i in range(grid)]
-    return search_alpha(
-        params, scheme, alphas, n_trials, seed,
+    (found,) = _search_alpha_batch(
+        params, [scheme], alphas, [n_trials], seed,
         threshold_mode=threshold_mode, threads=threads,
-    ).best
+    )
+    return found.best

@@ -15,7 +15,7 @@ from fdrelay.experiment import (
     run_validation,
 )
 from fdrelay.precoding import Scheme
-from fdrelay.simkit import search_alpha
+from fdrelay.simkit import _search_alpha_batch
 
 from helpers import make_params
 
@@ -232,8 +232,8 @@ class TestThroughputSweep:
                 assert [r["status"] for r in grid + [summary]] == ["infeasible"] * 3
                 assert [r["alpha"] for r in grid] == [0.6, 0.3]
                 continue
-            found = search_alpha(
-                cfg.params, Scheme(scheme), [0.6, 0.3], cfg.trials_for(Scheme(scheme)),
+            (found,) = _search_alpha_batch(
+                cfg.params, [Scheme(scheme)], [0.6, 0.3], [cfg.trials_for(Scheme(scheme))],
                 cfg.seed, threads=cfg.threads,
             )
             assert [(r["alpha"], r["outage"], r["std_err"]) for r in grid] == [

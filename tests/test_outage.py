@@ -116,7 +116,7 @@ class TestTzfAsymptotic:
             assert outage_tzf_asymptotic(q) == pytest.approx(outage_tzf(q), rel=0.1)
 
     def test_ratio_all_feasible_configs(self):
-        # Full antenna sweep, including the series branch m_t > m_r + 1.
+        # Full antenna sweep, including the first-hop branch m_t > m_r + 1.
         for m_r in range(1, 5):
             for m_t in range(2, 5):
                 params = make_params(m_r, m_t, 1e4)
@@ -124,6 +124,20 @@ class TestTzfAsymptotic:
                 assert outage_tzf_asymptotic(q) == pytest.approx(
                     outage_tzf(q), rel=0.1
                 ), (m_r, m_t)
+
+    def test_first_hop_limited_laws_at_80db(self):
+        # m_t >= m_r + 1 with d2^tau/kappa far from 1, where cancellation in
+        # the coefficient would show: the laws stay positive and within 1e-3
+        # of the exact CDF.
+        for m_r in range(1, 5):
+            for m_t in range(m_r + 1, m_r + 4):
+                for d2 in (2.0, 3.0):
+                    for alpha in (0.1, 0.5):
+                        q = q_at(make_params(m_r, m_t, 1e8, d2=d2, alpha=alpha))
+                        approx = outage_tzf_asymptotic(q)
+                        assert approx > 0.0, (m_r, m_t, d2, alpha)
+                        assert approx == pytest.approx(outage_tzf(q), rel=1e-3), (
+                            m_r, m_t, d2, alpha)
 
 
 class TestRzf:

@@ -30,7 +30,6 @@ from fdrelay.simkit import (
     _sinr_batch,
     _stream_key,
     params_at_alpha,
-    search_alpha,
 )
 
 from helpers import make_params, reference_sinr
@@ -64,6 +63,25 @@ def _oracle_estimates(monkeypatch, oracle):
         return OutageEstimate(oracle(params, scheme), 0.0, n_trials, seed)
 
     monkeypatch.setattr(simkit, "estimate_outage", fake)
+
+
+def _search_and_bracket(monkeypatch, oracle, alphas):
+    """A lone transmit-ZF search under ``oracle``, and its refinement bracket.
+
+    The bracket is read back from the first two golden-section probes after
+    the grid, x1 = hi - phi (hi - lo) and x2 = lo + phi (hi - lo).
+    """
+    probed = []
+
+    def recording(p, scheme):
+        probed.append(p.alpha)
+        return oracle(p, scheme)
+
+    _oracle_estimates(monkeypatch, recording)
+    (found,) = _search_alpha_batch(make_params(2, 2), [Scheme.TZF], alphas, [1], seed=0)
+    x1, x2 = probed[len(alphas):len(alphas) + 2]
+    width = (x2 - x1) / (2.0 * simkit._GOLDEN - 1.0)
+    return found, (x2 - simkit._GOLDEN * width, x1 + simkit._GOLDEN * width)
 
 
 class TestEstimateOutage:
@@ -264,24 +282,22 @@ class TestOptimizeAlpha:
         # R(alpha) = 1 - alpha peaks at the smallest grid point, whatever the
         # grid's order; past an end point the bracket reaches halfway to 0
         # or 1, and the refined optimum stays inside the bracket.
-        params = make_params(2, 2)
-        _oracle_estimates(monkeypatch, lambda p, s: 0.0)
         cases = {
             (0.9, 0.1, 0.5): (0.05, 0.5),
             (0.3,): (0.15, 0.65),
             (0.2, 0.6): (0.1, 0.6),
         }
         for alphas, bracket in cases.items():
-            found = search_alpha(params, Scheme.TZF, list(alphas), n_trials=1, seed=0)
+            found, read_back = _search_and_bracket(
+                monkeypatch, lambda p, s: 0.0, list(alphas))
             assert [pt.alpha for pt in found.grid] == list(alphas)
-            assert found.bracket == pytest.approx(bracket, rel=1e-12)
+            assert read_back == pytest.approx(bracket, rel=1e-12)
             assert bracket[0] <= found.best.alpha <= bracket[1]
             assert found.best.alpha < min(alphas)
 
     def test_uniform_grid_bracket_matches_the_step_rule(self, monkeypatch):
         # On a uniform open grid the neighbours are one step away and the end
         # brackets stop half a step from the boundary.
-        params = make_params(2, 2)
         grid = 9
         step = 1.0 / (grid + 1)
         alphas = [(i + 1) * step for i in range(grid)]
@@ -289,11 +305,10 @@ class TestOptimizeAlpha:
             def oracle(p, s, peak=peak):
                 return 0.0 if p.alpha == alphas[peak] else 0.9
 
-            _oracle_estimates(monkeypatch, oracle)
-            found = search_alpha(params, Scheme.TZF, alphas, n_trials=1, seed=0)
+            _, read_back = _search_and_bracket(monkeypatch, oracle, alphas)
             lo = max(alphas[peak] - step, step / 2.0)
             hi = min(alphas[peak] + step, 1.0 - step / 2.0)
-            assert found.bracket == pytest.approx((lo, hi), rel=1e-12)
+            assert read_back == pytest.approx((lo, hi), rel=1e-12)
 
     def test_throughput_point_invariant(self):
         params = make_params(2, 2)
@@ -324,12 +339,11 @@ class TestLockstepSearch:
                 threshold_mode=mode, threads=threads,
             )
             for scheme, n, found in zip(ALL_SCHEMES, ALL_TRIALS, batch):
-                alone = search_alpha(
-                    params, scheme, SHORT_GRID, n, seed=9,
+                (alone,) = _search_alpha_batch(
+                    params, [scheme], SHORT_GRID, [n], seed=9,
                     threshold_mode=mode, threads=threads,
                 )
-                assert (found.grid, found.bracket, found.best) == (
-                    alone.grid, alone.bracket, alone.best), scheme
+                assert (found.grid, found.best) == (alone.grid, alone.best), scheme
             by_threads[threads] = batch
         assert by_threads[1] == by_threads[2] == by_threads[3]
         # Shared draws change no estimate: every grid point is the plain
@@ -364,7 +378,7 @@ class TestLockstepSearch:
         _oracle_estimates(monkeypatch, oracle)
         batch = _search_alpha_batch(params, ALL_SCHEMES, SHORT_GRID, ALL_TRIALS, seed=0)
         for scheme, found in zip(ALL_SCHEMES, batch):
-            alone = search_alpha(params, scheme, SHORT_GRID, 1, seed=0)
+            (alone,) = _search_alpha_batch(params, [scheme], SHORT_GRID, [1], seed=0)
             assert found == alone
             assert all(pt.std_err == 0.0 for pt in found.grid)
 
@@ -386,7 +400,8 @@ class TestLockstepSearch:
             )
             assert draws == [0, 1, 2]
             draws.clear()
-            search_alpha(params, Scheme.TZF, SHORT_GRID, 9000, seed=4, threads=threads)
+            _search_alpha_batch(params, [Scheme.TZF], SHORT_GRID, [9000], seed=4,
+                                threads=threads)
             assert draws == [0, 1]
 
     def test_optimal_result_does_not_depend_on_its_place(self):
@@ -403,9 +418,45 @@ class TestLockstepSearch:
         )
         assert first[0] == last[2]
         assert first[1:] == last[:2]
-        alone = search_alpha(params, Scheme.OPTIMAL, SHORT_GRID, 2000, seed=13, threads=2)
+        (alone,) = _search_alpha_batch(
+            params, [Scheme.OPTIMAL], SHORT_GRID, [2000], seed=13, threads=2)
         assert first[0] == alone
 
     def test_mismatched_trial_counts(self):
         with pytest.raises(ValueError):
             _search_alpha_batch(make_params(2, 2), [Scheme.TZF], SHORT_GRID, [1, 2], seed=0)
+
+    def test_lone_search_splits_estimates_and_side_by_side_ones_do_not(self, monkeypatch):
+        # One pool for every schedule: a lone search hands each estimate all
+        # the threads, searches side by side score on one thread each.
+        seen = []
+        original = simkit.estimate_outage
+
+        def recording(*args, threads=1, **kwargs):
+            seen.append(threads)
+            return original(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(simkit, "estimate_outage", recording)
+        params = make_params(2, 2)
+        _search_alpha_batch(params, [Scheme.TZF], SHORT_GRID, [9000], seed=4, threads=3)
+        probes = len(SHORT_GRID) + 2 + simkit._REFINE_ITERS
+        assert seen == [3] * probes
+        seen.clear()
+        _search_alpha_batch(params, ALL_SCHEMES, SHORT_GRID, [300, 2000, 2000, 2000, 2000],
+                            seed=4, threads=2)
+        assert seen == [1] * probes * len(ALL_SCHEMES)
+
+
+class TestThreadCounts:
+    """A thread count that is not an integer >= 1 is rejected where it enters."""
+
+    @pytest.mark.parametrize("threads", [0, -3, 2.5])
+    def test_rejected_at_every_entry_point(self, threads):
+        params = make_params(2, 2)
+        with pytest.raises(ValueError, match="threads"):
+            estimate_outage(params, Scheme.TZF, 10, seed=0, threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            optimize_alpha(params, Scheme.TZF, 10, grid=8, seed=0, threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            _search_alpha_batch(params, [Scheme.TZF, Scheme.RZF], SHORT_GRID, [10, 10],
+                                seed=0, threads=threads)
