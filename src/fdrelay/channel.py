@@ -132,21 +132,29 @@ def _standard_complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarr
     return z.view(np.complex128)[..., 0]
 
 
-def sample_channel(params: SystemParams, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one channel realization.
+def _draw_channels(
+    params: SystemParams, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``n`` channel realizations as read-only batches.
 
-    Link channels have i.i.d. unit-variance entries; loop-channel entries
-    have variance ``params.sigma2_li``.  The draw order is fixed, so a given
-    generator state always yields a bit-identical realization.
+    Returns h_sr of shape (n, m_r), h_rd of shape (n, m_t) and h_rr of shape
+    (n, m_r, m_t).  Link channels have i.i.d. unit-variance entries;
+    loop-channel entries have variance ``params.sigma2_li``.  The draw order
+    is fixed, so a given generator state always yields bit-identical draws.
     """
-    h_sr = _standard_complex_normal(rng, (params.m_r,))
-    h_rd = _standard_complex_normal(rng, (params.m_t,))
-    h_rr = np.sqrt(params.sigma2_li) * _standard_complex_normal(
-        rng, (params.m_r, params.m_t)
-    )
-    for arr in (h_sr, h_rd, h_rr):
+    hsr = _standard_complex_normal(rng, (n, params.m_r))
+    hrd = _standard_complex_normal(rng, (n, params.m_t))
+    hrr = _standard_complex_normal(rng, (n, params.m_r, params.m_t))
+    hrr *= np.sqrt(params.sigma2_li)
+    for arr in (hsr, hrd, hrr):
         arr.flags.writeable = False
-    return ChannelRealization(h_sr, h_rd, h_rr)
+    return hsr, hrd, hrr
+
+
+def sample_channel(params: SystemParams, rng: np.random.Generator) -> ChannelRealization:
+    """Draw one channel realization: ``_draw_channels`` with n = 1."""
+    hsr, hrd, hrr = _draw_channels(params, rng, 1)
+    return ChannelRealization(hsr[0], hrd[0], hrr[0])
 
 
 def relay_power(params: SystemParams, ch: ChannelRealization) -> float:

@@ -116,6 +116,8 @@ class ExperimentConfig:
             count = getattr(self, name)
             if count is not None and count < 1:
                 raise ConfigError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         kind = self.sweep_kind()
         grid = self.sweep[kind]
         if kind != "alpha":
@@ -216,9 +218,9 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def config_hash(self) -> str:
-        # Where a result is written does not change what it is.
+        # Neither the output path nor the thread count changes a result.
         data = self.to_dict()
-        del data["output_path"]
+        del data["output_path"], data["threads"]
         canon = json.dumps(data, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -326,7 +328,6 @@ def run_outage_sweep(cfg: ExperimentConfig) -> SweepResult:
     points = list(cfg.sweep[kind_axis])
 
     rows = []
-    stream = 0
     for scheme in cfg.schemes:
         for point in points:
             if kind_axis == "snr_db":
@@ -348,8 +349,7 @@ def run_outage_sweep(cfg: ExperimentConfig) -> SweepResult:
                     row["status"] = "infeasible"
                 elif out_kind == "monte_carlo":
                     est = estimate_outage(
-                        p, scheme, cfg.trials_for(scheme), cfg.seed,
-                        threads=cfg.threads, stream=stream,
+                        p, scheme, cfg.trials_for(scheme), cfg.seed, threads=cfg.threads
                     )
                     row["p_out"] = est.p_hat
                     row["std_err"] = est.std_err
@@ -359,7 +359,6 @@ def run_outage_sweep(cfg: ExperimentConfig) -> SweepResult:
                 else:
                     row["asymptotic"] = _asymptotic_outage(p, scheme)
                 rows.append(row)
-            stream += 1
     return SweepResult(columns=list(_OUTAGE_COLUMNS), rows=rows, meta=_meta(cfg))
 
 
@@ -483,7 +482,7 @@ def _specfun_errors(gamma_a, gamma_x, loop_t) -> tuple[float, float, float, floa
 def _mc_vs_exact(pairs, snrs_db, n_trials: int, seed: int, threads: int) -> list[tuple]:
     """(label, m_r, m_t, snr_db, analytic, Monte Carlo estimate) for every
     (scheme, pair) with an analytic CDF at every SNR, in that nesting order;
-    comparison i draws from substream i.
+    every estimate scores the same trials of ``seed``.
     """
     out: list[tuple] = []
     for m_r, m_t in pairs:
@@ -494,8 +493,7 @@ def _mc_vs_exact(pairs, snrs_db, n_trials: int, seed: int, threads: int) -> list
             label, cdf = exact
             for snr_db in snrs_db:
                 p = _fig1_params(m_r, m_t, 10.0 ** (snr_db / 10.0))
-                est = estimate_outage(p, scheme, n_trials, seed, threads=threads,
-                                      stream=len(out))
+                est = estimate_outage(p, scheme, n_trials, seed, threads=threads)
                 out.append((label, m_r, m_t, snr_db, cdf(OutageQuery(p, p.gamma_th)), est))
     return out
 

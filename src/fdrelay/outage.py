@@ -171,18 +171,13 @@ def outage_rzf(q: OutageQuery) -> float:
     check_feasible(Scheme.RZF, p.m_r, p.m_t)
     lam = q.lam
     c = p.d2**p.tau / p.kappa
-    norm = math.exp(ln_gamma(p.m_r))
-
-    def integrand_p(x: float) -> float:
-        return reg_gamma_p(p.m_t, c * lam / x) * x ** (p.m_r - 1) * math.exp(-x)
 
     def integrand_q(x: float) -> float:
         return reg_gamma_q(p.m_t, c * lam / x) * math.exp(-x)
 
-    i_p = integrate_semi_infinite(integrand_p, lam)
     i_q = integrate_semi_infinite(integrand_q, lam)
-    value = reg_gamma_p(p.m_r, lam) + (i_p + lam ** (p.m_r - 1) * i_q) / norm
-    return _clip_prob(value)
+    projected = lam ** (p.m_r - 1) * i_q / math.exp(ln_gamma(p.m_r))
+    return _clip_prob(_gamma_min_cdf(p.m_r, p.m_t, lam, c) + projected)
 
 
 def outage_rzf_asymptotic(q: OutageQuery) -> float:

@@ -1,10 +1,12 @@
 """Monte Carlo outage estimation, throughput, and harvesting-split optimization.
 
-Trials are striped into fixed-size chunks, each driven by its own
-counter-based Philox substream keyed on (seed, stream, chunk index).  A
-trial's channel draw therefore depends only on the seed and its trial index,
-never on the total trial count or on how chunks are distributed over
-workers, which makes estimates bit-reproducible under any parallelism.
+Trials are striped into fixed-size chunks, each drawn by one counter-based
+Philox generator keyed on the seed, started at the chunk's own counter.  At
+a given (m_r, m_t, sigma2_li), trial i of seed s is therefore the same
+channel in every estimate, sweep and search, whatever the scheme, design
+point, trial count or worker count: estimates are bit-reproducible under
+any parallelism, and schemes and design points are compared on paired draws
+(common random numbers): a threshold sweep's outage never falls as it rises.
 
 Every scheme is simulated through the general end-to-end SINR expression
 (beamform, combine, evaluate), vectorized over the chunk by the batched
@@ -16,14 +18,13 @@ The harvesting split is optimized by one search (grid plus golden-section
 refinement), written once as ``_alpha_search``.  The kernel
 ``_search_alpha_batch`` runs it for several schemes.  A channel draw depends
 only on (seed, m_r, m_t, sigma2_li), never on alpha, so each call draws the
-chunks of its largest trial count once, on substream 0, and scores every
-probe of every scheme on them (common random numbers); an estimate with
-fewer trials reads the leading chunks.  The schemes' whole searches run on
-one pool of ``threads`` workers, the optimal scheme's first; side by side,
-each search scores on its own worker, while a lone search splits each
-estimate's chunks over all the threads.  ``optimize_alpha`` is its n = 1
-wrapper, and the throughput sweep of :mod:`fdrelay.experiment` makes one
-batched call.
+chunks of its largest trial count once and scores every probe of every
+scheme on them; an estimate with fewer trials reads the leading chunks.
+The schemes' whole searches run on one pool of ``threads`` workers, the
+optimal scheme's first; side by side, each search scores on its own worker,
+while a lone search splits each estimate's chunks over all the threads.
+``optimize_alpha`` is its n = 1 wrapper, and the throughput sweep of
+:mod:`fdrelay.experiment` makes one batched call.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import SystemParams, _standard_complex_normal
+from .channel import SystemParams, _draw_channels
 from .precoding import Scheme, _beamformers_batch, _optimal_wt_batch, check_feasible
 from .sinr import _fd_hops_batch, _hd_snr_batch
 
@@ -87,18 +88,12 @@ class AlphaSearch:
 
 
 def _chunk_channels(
-    params: SystemParams, key: np.ndarray, chunk_idx: int
+    params: SystemParams, seed: int, chunk_idx: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only channel draws for one chunk; layout depends only on (key, chunk_idx)."""
-    bitgen = np.random.Philox(key=key, counter=chunk_idx << 192)
-    rng = np.random.Generator(bitgen)
-    hsr = _standard_complex_normal(rng, (_CHUNK, params.m_r))
-    hrd = _standard_complex_normal(rng, (_CHUNK, params.m_t))
-    hrr = _standard_complex_normal(rng, (_CHUNK, params.m_r, params.m_t))
-    hrr *= np.sqrt(params.sigma2_li)
-    for arr in (hsr, hrd, hrr):
-        arr.flags.writeable = False
-    return hsr, hrd, hrr
+    """Read-only channel draws of trials ``chunk_idx * _CHUNK`` onward of ``seed``."""
+    key = np.random.SeedSequence(entropy=[seed, 0]).generate_state(2, np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key, counter=chunk_idx << 192))
+    return _draw_channels(params, rng, _CHUNK)
 
 
 def _sinr_batch(
@@ -123,13 +118,9 @@ def _sinr_batch(
     return np.minimum(first, second)
 
 
-def _check_threads(threads: int) -> None:
-    if not isinstance(threads, numbers.Integral) or isinstance(threads, bool) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-
-
-def _stream_key(seed: int, stream: int) -> np.ndarray:
-    return np.random.SeedSequence(entropy=[seed, stream]).generate_state(2, np.uint64)
+def _check_integer(name: str, value: int, least: int) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def estimate_outage(
@@ -139,30 +130,27 @@ def estimate_outage(
     seed: int,
     *,
     threads: int = 1,
-    stream: int = 0,
     chunks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
 ) -> OutageEstimate:
     """Monte Carlo outage probability Pr(gamma < gamma_th).
 
-    Deterministic given (seed, params, scheme, n_trials) for any thread
-    count.  ``stream`` selects an independent substream (used internally by
-    sweeps so different design points never share draws), and each worker
-    draws the chunks it scores.  ``chunks`` instead hands over draws already
-    made: ``_chunk_channels`` results for chunk 0, 1, ..., at least enough
-    for ``n_trials``, of which the leading ones are scored.  The alpha search
-    passes those of substream 0, so an estimate returns exactly what it
-    would drawing them itself with ``stream=0``.
+    Scores trials 0 .. n_trials - 1 of ``seed`` (an integer >= 0), as every
+    estimate with that seed does, and is deterministic for any thread count.
+    Each worker draws the chunks it scores; ``chunks`` instead hands over
+    draws already made: ``_chunk_channels`` results of ``seed`` for chunk
+    0, 1, ..., at least enough for ``n_trials``, of which the leading ones
+    are scored, so the estimate is exactly the one it would draw itself.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    _check_threads(threads)
+    _check_integer("threads", threads, 1)
+    _check_integer("seed", seed, 0)
     check_feasible(scheme, params.m_r, params.m_t)
-    key = _stream_key(seed, stream)
     n_chunks = -(-n_trials // _CHUNK)
 
     def count_chunk(chunk_idx: int) -> int:
         if chunks is None:
-            hsr, hrd, hrr = _chunk_channels(params, key, chunk_idx)
+            hsr, hrd, hrr = _chunk_channels(params, seed, chunk_idx)
         else:
             hsr, hrd, hrr = chunks[chunk_idx]
         keep = min(_CHUNK, n_trials - chunk_idx * _CHUNK)
@@ -287,23 +275,23 @@ def _search_alpha_batch(
     """``_alpha_search`` on ``alphas`` for each scheme, with its own trial count.
 
     Every search makes ``len(alphas) + 2 + _REFINE_ITERS`` probes.  The
-    chunks for ``max(trials)`` are drawn once, on substream 0 of ``seed``,
+    chunks of ``seed`` (an integer >= 0) for ``max(trials)`` are drawn once,
     before the first probe, and every probe of every scheme is scored on
-    them, so each search returns exactly what it would alone.  One pool of
-    ``threads`` workers runs the whole searches, the costly optimal one
-    first: side by side each scores on one thread, and a lone search splits
-    each estimate's chunks over all of them.
+    them, so each probe is the plain ``estimate_outage`` at its alpha.  One
+    pool of ``threads`` workers runs the whole searches, the costly optimal
+    one first: side by side each scores on one thread, and a lone search
+    splits each estimate's chunks over all of them.
     """
-    _check_threads(threads)
+    _check_integer("threads", threads, 1)
+    _check_integer("seed", seed, 0)
     if not alphas:
         raise ValueError("alphas must not be empty")
     if len(trials) != len(schemes):
         raise ValueError("need one trial count per scheme")
     for scheme in schemes:
         check_feasible(scheme, params.m_r, params.m_t)
-    key = _stream_key(seed, 0)
     n_chunks = -(-max(trials, default=0) // _CHUNK)
-    chunks = [_chunk_channels(params, key, j) for j in range(n_chunks)]
+    chunks = [_chunk_channels(params, seed, j) for j in range(n_chunks)]
 
     per_estimate = threads if len(schemes) == 1 else 1
 
@@ -333,7 +321,7 @@ def optimize_alpha(
     Runs ``_search_alpha_batch`` for the one scheme on a uniform open grid of
     ``grid`` points over (0, 1); each estimate splits its chunks over the
     threads.  Every probe is scored on the same channel draws, those of
-    substream 0, so R(alpha) is compared across probes without draw-to-draw
+    ``seed``, so R(alpha) is compared across probes without draw-to-draw
     noise; the returned point is the best observed anywhere, ties broken
     toward smaller alpha.  An end point's refinement bracket reaches halfway
     to the boundary (0 or 1).

@@ -29,7 +29,6 @@ from fdrelay.simkit import (
     _chunk_channels,
     _search_alpha_batch,
     _sinr_batch,
-    _stream_key,
 )
 
 from helpers import ascent_best_sinr, four_antenna_params, make_params
@@ -152,7 +151,7 @@ def test_criterion_4_optimal_dominance_and_oracle():
     """SDR beats every closed-form scheme and tracks the ascent oracle."""
     t0 = time.time()
     n = 1000
-    hsr, hrd, hrr = _chunk_channels(BENCH, _stream_key(404, 0), 0)
+    hsr, hrd, hrr = _chunk_channels(BENCH, 404, 0)
     hsr, hrd, hrr = hsr[:n], hrd[:n], hrr[:n]
     _, g_opt = _optimal_wt_batch(BENCH, hsr, hrd, hrr)
 
@@ -181,7 +180,7 @@ def test_criterion_5_zero_forcing_correctness():
     n_res = 10_000
     worst_tzf = worst_rzf = 0.0
     for chunk in (0, 1):
-        hsr, hrd, hrr = _chunk_channels(make_params(3, 3), _stream_key(505, 0), chunk)
+        hsr, hrd, hrr = _chunk_channels(make_params(3, 3), 505, chunk)
         hsr, hrd, hrr = hsr[:n_res // 2], hrd[:n_res // 2], hrr[:n_res // 2]
         a = np.einsum("nij,ni->nj", np.conj(hrr), hsr)
         na2 = np.sum(np.abs(a) ** 2, axis=1)
@@ -207,7 +206,7 @@ def test_criterion_5_zero_forcing_correctness():
     # transmit-ZF projected gain ~ Gamma(m_t - 1, 1) at (2, 3)
     gains = []
     for chunk in range(13):
-        hsr, hrd, hrr = _chunk_channels(make_params(2, 3), _stream_key(7, 0), chunk)
+        hsr, hrd, hrr = _chunk_channels(make_params(2, 3), 7, chunk)
         a = np.einsum("nij,ni->nj", np.conj(hrr), hsr)
         q = a / np.linalg.norm(a, axis=1, keepdims=True)
         h = np.conj(hrd)
@@ -219,7 +218,7 @@ def test_criterion_5_zero_forcing_correctness():
     # receive-ZF combiner share ~ Beta(m_r - 1, 1) at (3, 1)
     shares = []
     for chunk in range(13):
-        hsr, hrd, hrr = _chunk_channels(make_params(3, 1), _stream_key(123, 0), chunk)
+        hsr, hrd, hrr = _chunk_channels(make_params(3, 1), 123, chunk)
         v = np.einsum("nij,nj->ni", hrr, np.conj(hrd))
         nv2 = np.sum(np.abs(v) ** 2, axis=1)
         u = hsr - v * (np.einsum("ni,ni->n", np.conj(v), hsr) / nv2)[:, None]

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from fdrelay import ChannelRealization, SystemParams, relay_power, sample_channel
-from fdrelay.channel import _standard_complex_normal
+from fdrelay.channel import _draw_channels, _standard_complex_normal
 
 from helpers import make_params
 
@@ -38,6 +38,28 @@ def test_same_seed_same_realization():
     assert np.array_equal(a.h_sr, b.h_sr)
     assert np.array_equal(a.h_rd, b.h_rd)
     assert np.array_equal(a.h_rr, b.h_rr)
+
+
+@pytest.mark.parametrize("m_r, m_t, sigma2_li", [(1, 1, 0.1), (3, 4, 0.3), (2, 3, 0.0)])
+def test_sample_channel_is_row_zero_of_the_batched_draw(m_r, m_t, sigma2_li):
+    # From any generator state: the one-row batched draw, and the pinned
+    # draw order h_sr, h_rd, then the loop channel scaled by sqrt(sigma2_li).
+    params = make_params(m_r, m_t, sigma2_li=sigma2_li)
+    rng = np.random.default_rng(9)
+    rng.standard_normal(5)
+    state = rng.bit_generator.state
+    ch = sample_channel(params, rng)
+    rng.bit_generator.state = state
+    batch = _draw_channels(params, rng, 1)
+    rng.bit_generator.state = state
+    pinned = (
+        _standard_complex_normal(rng, (m_r,)),
+        _standard_complex_normal(rng, (m_t,)),
+        np.sqrt(sigma2_li) * _standard_complex_normal(rng, (m_r, m_t)),
+    )
+    for got, rows, want in zip((ch.h_sr, ch.h_rd, ch.h_rr), batch, pinned):
+        assert rows.shape == (1,) + got.shape and not rows.flags.writeable
+        assert got.tobytes() == rows[0].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(1,), (4,), (8192, 4), (8192, 3, 3), (8192, 4, 4)])

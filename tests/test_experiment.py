@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fdrelay.experiment import (
     run_validation,
 )
 from fdrelay.precoding import Scheme
-from fdrelay.simkit import _search_alpha_batch
+from fdrelay.simkit import _search_alpha_batch, estimate_outage
 
 from helpers import make_params
 
@@ -84,6 +85,8 @@ class TestConfig:
         for n in (0, -5):
             with pytest.raises(ConfigError, match="n_trials_optimal"):
                 base_config(n_trials_optimal=n)
+        with pytest.raises(ConfigError, match="seed"):
+            base_config(seed=-1)
 
     def test_integer_and_bool_fields_are_strict(self):
         for name, value in (("n_trials", 2000.7), ("seed", 1.9), ("threads", 1.5),
@@ -163,6 +166,35 @@ class TestOutageSweep:
         res = run_outage_sweep(cfg)
         vals = [r["analytic"] for r in res.rows]
         assert vals == sorted(vals)  # outage grows with the threshold
+
+    def test_dense_threshold_sweep_mc_never_falls(self):
+        # Thresholds 0.05 dB apart move the outage by less than its standard
+        # error; scored on the same trials, no point may still fall below
+        # the one before it.
+        cfg = base_config(
+            schemes=["optimal", "tzf", "rzf", "mrc_mrt", "half_duplex"],
+            sweep={"threshold_db": [0.05 * k for k in range(7)]},
+            n_trials=20_000, outputs=["monte_carlo"],
+        )
+        rows = run_outage_sweep(cfg).rows
+        for scheme in cfg.schemes:
+            p_out = [r["p_out"] for r in rows if r["scheme"] == scheme.value]
+            assert len(p_out) == 7 and p_out == sorted(p_out), scheme
+
+    def test_each_mc_row_is_the_plain_estimate(self):
+        snrs = [0.0, 10.0]
+        cfg = base_config(
+            schemes=["optimal", "tzf", "mrc_mrt", "half_duplex"],
+            sweep={"snr_db": snrs}, n_trials=3000, outputs=["monte_carlo"],
+        )
+        rows = run_outage_sweep(cfg).rows
+        want = []
+        for scheme in cfg.schemes:
+            for snr_db in snrs:
+                p = replace(cfg.params, p_s=10.0 ** (snr_db / 10.0))
+                est = estimate_outage(p, scheme, cfg.trials_for(scheme), cfg.seed)
+                want.append((est.p_hat, est.std_err))
+        assert [(r["p_out"], r["std_err"]) for r in rows] == want
 
 
 class TestThroughputSweep:
@@ -277,8 +309,13 @@ class TestOutputsAndCli:
             "--out", str(tmp_path / "b.csv"),
         ]) == 0
         text_b = (tmp_path / "b.csv").read_text()
-        # the output path is not part of the config hash
-        assert text_a == text_b
+        assert cli_main([
+            "outage", "--config", str(cfg_path), "--seed", "9", "--threads", "1",
+            "--out", str(tmp_path / "c.csv"),
+        ]) == 0
+        text_c = (tmp_path / "c.csv").read_text()
+        # neither the output path nor the thread count is part of the config hash
+        assert text_a == text_b == text_c
 
     def test_cli_config_error_exit_code(self, tmp_path):
         missing = tmp_path / "nope.json"
@@ -302,6 +339,16 @@ class TestOutputsAndCli:
         alpha["sweep"] = {"alpha": {"points": True}}
         bad.write_text(json.dumps(alpha))
         assert cli_main(["throughput", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command", ["outage", "throughput", "validate"])
+    def test_cli_negative_seed_exit_two(self, tmp_path, command):
+        sweep = {"alpha": {"points": 3}} if command == "throughput" else {"snr_db": [10.0]}
+        cfg = base_config(sweep=sweep, output_path=str(tmp_path / "out"), n_trials=100)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert cli_main([command, "--config", str(cfg_path), "--seed", "-1"]) == 2
+        cfg_path.write_text(json.dumps({**cfg.to_dict(), "seed": -1}))
+        assert cli_main([command, "--config", str(cfg_path)]) == 2
 
     def test_cli_throughput(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -16,7 +16,7 @@ from fdrelay import (
 )
 from fdrelay.errors import DegenerateChannelError, InfeasibleSchemeError
 from fdrelay.precoding import BeamformingPair, _optimal_wt_batch
-from fdrelay.simkit import _chunk_channels, _stream_key
+from fdrelay.simkit import _chunk_channels
 
 from helpers import ascent_best_sinr, four_antenna_params, make_params
 
@@ -111,7 +111,7 @@ class TestTzf:
         params = make_params(2, 3)
         draws = []
         for chunk in range(125):
-            hsr, hrd, hrr = _chunk_channels(params, _stream_key(7, 0), chunk)
+            hsr, hrd, hrr = _chunk_channels(params, 7, chunk)
             a = np.einsum("nij,ni->nj", np.conj(hrr), hsr)
             q = a / np.linalg.norm(a, axis=1, keepdims=True)
             h = np.conj(hrd)
@@ -148,7 +148,7 @@ class TestRzf:
         params = make_params(3, 1)
         shares = []
         for chunk in range(13):
-            hsr, hrd, hrr = _chunk_channels(params, _stream_key(123, 0), chunk)
+            hsr, hrd, hrr = _chunk_channels(params, 123, chunk)
             v = np.einsum("nij,nj->ni", hrr, np.conj(hrd))
             nv2 = np.sum(np.abs(v) ** 2, axis=1)
             u = hsr - v * (np.einsum("ni,ni->n", np.conj(v), hsr) / nv2)[:, None]
@@ -192,7 +192,7 @@ class TestOptimal:
 
     def test_dominates_closed_form_schemes(self):
         params = four_antenna_params()
-        hsr, hrd, hrr = _chunk_channels(params, _stream_key(5, 0), 0)
+        hsr, hrd, hrr = _chunk_channels(params, 5, 0)
         hsr, hrd, hrr = hsr[:1000], hrd[:1000], hrr[:1000]
         _, g_opt = _optimal_wt_batch(params, hsr, hrd, hrr)
         from fdrelay.simkit import _sinr_batch
@@ -218,7 +218,7 @@ class TestOptimal:
         # residual, so a draw's optimal SINR does not depend on the draws
         # sharing its batch.
         params = make_params(1, 4, 10.0, sigma2_li=3.0)
-        hsr, hrd, hrr = (x[:400] for x in _chunk_channels(params, _stream_key(1, 0), 0))
+        hsr, hrd, hrr = (x[:400] for x in _chunk_channels(params, 1, 0))
         _, g_batch = _optimal_wt_batch(params, hsr, hrd, hrr)
         for i in range(400):
             ch = ChannelRealization(hsr[i], hrd[i], hrr[i])
@@ -233,7 +233,7 @@ class TestOptimal:
         # and the search returns the better seed.
         from fdrelay import precoding
 
-        hsr, hrd, hrr = (x[:400] for x in _chunk_channels(params, _stream_key(5, 0), 0))
+        hsr, hrd, hrr = (x[:400] for x in _chunk_channels(params, 5, 0))
         seeds = [precoding._beamformers_batch(s, hsr, hrd, hrr)[1]
                  for s in (Scheme.MRC_MRT, Scheme.TZF)]
         (f_mrt, s_mrt), (f_tzf, s_tzf) = (
@@ -280,7 +280,7 @@ class TestOptimal:
         from fdrelay import precoding
 
         params = four_antenna_params()
-        hsr, hrd, hrr = _chunk_channels(params, _stream_key(5, 0), 0)
+        hsr, hrd, hrr = _chunk_channels(params, 5, 0)
         hsr, hrd, hrr = hsr[:200], hrd[:200], hrr[:200]
         with monkeypatch.context() as seeds_only:
             seeds_only.setattr(precoding, "_CROSSING_STEPS", 0)

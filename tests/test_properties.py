@@ -36,7 +36,7 @@ from fdrelay.precoding import (
     _wt_at_leakage,
     check_feasible,
 )
-from fdrelay.simkit import _chunk_channels, _sinr_batch, _stream_key
+from fdrelay.simkit import _chunk_channels, _sinr_batch
 
 from helpers import make_params
 
@@ -182,7 +182,7 @@ def test_bracket_ceiling_prunes_only_decided_rows(m_r, m_t, seed, p_s, sigma2_li
     # indicator.  Thresholds halfway between neighbouring SINRs of the batch
     # put rows just above and just below each one.
     params = make_params(m_r, m_t, p_s, sigma2_li=sigma2_li)
-    hsr, hrd, hrr = (x[:32] for x in _chunk_channels(params, _stream_key(seed, 0), 0))
+    hsr, hrd, hrr = (x[:32] for x in _chunk_channels(params, seed, 0))
     _, g_full = _optimal_wt_batch(params, hsr, hrd, hrr)
     ordered = np.sort(g_full)
     for th in 0.5 * (ordered[1:] + ordered[:-1]):

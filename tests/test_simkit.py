@@ -28,7 +28,6 @@ from fdrelay.simkit import (
     _chunk_channels,
     _search_alpha_batch,
     _sinr_batch,
-    _stream_key,
     params_at_alpha,
 )
 
@@ -59,7 +58,7 @@ def _near_degenerate_channels():
 def _oracle_estimates(monkeypatch, oracle):
     """Make every outage estimate of the alpha search ``oracle(params, scheme)``."""
 
-    def fake(params, scheme, n_trials, seed, *, threads=1, stream=0, chunks=None):
+    def fake(params, scheme, n_trials, seed, *, threads=1, chunks=None):
         return OutageEstimate(oracle(params, scheme), 0.0, n_trials, seed)
 
     monkeypatch.setattr(simkit, "estimate_outage", fake)
@@ -121,10 +120,10 @@ class TestEstimateOutage:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n_trials", [3 * _CHUNK + 517, 5000])
     def test_pre_drawn_chunks_give_the_drawn_estimate(self, threads, n_trials):
-        # Four chunks of substream 0: all of them for the first count (whose
+        # Four chunks of seed 8: all of them for the first count (whose
         # last chunk is partial), only the leading one for the second.
         params = make_params(3, 2, sigma2_li=0.2)
-        chunks = [_chunk_channels(params, _stream_key(8, 0), j) for j in range(4)]
+        chunks = [_chunk_channels(params, 8, j) for j in range(4)]
         for scheme in (Scheme.RZF, Scheme.HALF_DUPLEX):
             given = estimate_outage(params, scheme, n_trials, 8, threads=threads,
                                     chunks=chunks)
@@ -168,7 +167,7 @@ class TestEstimateOutage:
 class TestBatchScalarConsistency:
     def test_closed_form_schemes_match_per_realization_path(self):
         params = make_params(3, 2, 4.0, sigma2_li=0.2)
-        hsr, hrd, hrr = _chunk_channels(params, _stream_key(11, 0), 0)
+        hsr, hrd, hrr = _chunk_channels(params, 11, 0)
         n = 256
         hsr, hrd, hrr = hsr[:n], hrd[:n], hrr[:n]
         makers = {
@@ -187,7 +186,7 @@ class TestBatchScalarConsistency:
 
     def test_hd_matches_per_realization_path(self):
         params = make_params(2, 3, 4.0)
-        hsr, hrd, hrr = _chunk_channels(params, _stream_key(12, 0), 0)
+        hsr, hrd, hrr = _chunk_channels(params, 12, 0)
         batch = _sinr_batch(params, Scheme.HALF_DUPLEX, hsr[:64], hrd[:64], hrr[:64])
         for i in range(64):
             ch = ChannelRealization(hsr[i], hrd[i], hrr[i])
@@ -347,7 +346,7 @@ class TestLockstepSearch:
             by_threads[threads] = batch
         assert by_threads[1] == by_threads[2] == by_threads[3]
         # Shared draws change no estimate: every grid point is the plain
-        # estimate on substream 0.
+        # estimate with that seed.
         for scheme, n, found in zip(ALL_SCHEMES, ALL_TRIALS, by_threads[2]):
             for point in found.grid:
                 p = params_at_alpha(params, point.alpha, mode)
@@ -386,9 +385,9 @@ class TestLockstepSearch:
         draws = []
         original = simkit._chunk_channels
 
-        def counted(params, key, chunk_idx):
+        def counted(params, seed, chunk_idx):
             draws.append(chunk_idx)
-            return original(params, key, chunk_idx)
+            return original(params, seed, chunk_idx)
 
         monkeypatch.setattr(simkit, "_chunk_channels", counted)
         params = make_params(2, 2)
@@ -445,6 +444,18 @@ class TestLockstepSearch:
         _search_alpha_batch(params, ALL_SCHEMES, SHORT_GRID, [300, 2000, 2000, 2000, 2000],
                             seed=4, threads=2)
         assert seen == [1] * probes * len(ALL_SCHEMES)
+
+
+class TestSeeds:
+    """A seed that is not an integer >= 0 is rejected where it enters."""
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_rejected_at_every_entry_point(self, seed):
+        params = make_params(2, 2)
+        with pytest.raises(ValueError, match="seed"):
+            estimate_outage(params, Scheme.TZF, 10, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            _search_alpha_batch(params, [Scheme.TZF], SHORT_GRID, [10], seed=seed)
 
 
 class TestThreadCounts:
