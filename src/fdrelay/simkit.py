@@ -12,14 +12,18 @@ Every scheme is simulated through the general end-to-end SINR expression
 (beamform, combine, evaluate), vectorized over the chunk by the batched
 kernels of :mod:`fdrelay.precoding` and :mod:`fdrelay.sinr`; the
 per-realization API there is their n = 1 wrapper, so it computes the same
-numbers one draw at a time.
+numbers one draw at a time.  A chunk is scored in two steps:
+``_chunk_gains`` reduces its draws to what fixes each SINR at any alpha
+(a closed-form scheme's beamformers do not depend on alpha, so four gains
+per draw), and ``_sinr_from_gains`` evaluates the SINR at the estimate's
+parameters.
 
 The harvesting split is optimized by one search (grid plus golden-section
 refinement), written once as ``_alpha_search``.  The kernel
 ``_search_alpha_batch`` runs it for several schemes.  A channel draw depends
 only on (seed, m_r, m_t, sigma2_li), never on alpha, so each call draws the
-chunks of its largest trial count once and scores every probe of every
-scheme on them; an estimate with fewer trials reads the leading chunks.
+chunks of its largest trial count once; each scheme's search turns the
+chunks it reads into gains once and scores all its probes on them.
 The schemes' whole searches run on one pool of ``threads`` workers, the
 optimal scheme's first; side by side, each search scores on its own worker,
 while a lone search splits each estimate's chunks over all the threads.
@@ -39,7 +43,7 @@ import numpy as np
 
 from .channel import SystemParams, _draw_channels
 from .precoding import Scheme, _beamformers_batch, _optimal_wt_batch, check_feasible
-from .sinr import _fd_hops_batch, _hd_snr_batch
+from .sinr import _fd_gains_batch, _fd_hops_from_gains, _hd_gains_batch, _hd_snr_from_gains
 
 __all__ = [
     "OutageEstimate",
@@ -96,6 +100,39 @@ def _chunk_channels(
     return _draw_channels(params, rng, _CHUNK)
 
 
+def _chunk_gains(
+    scheme: Scheme, hsr: np.ndarray, hrd: np.ndarray, hrr: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The per-draw quantities that fix each realization's SINR at any alpha.
+
+    For a closed-form scheme these are the four gains of its beamformers
+    (``sinr._fd_gains_batch``), for half duplex ||h_sr||^2 and ||h_rd||^2;
+    the optimal combiner moves with kappa(alpha), so its are the draws.
+    Every array has one row per draw.
+    """
+    if scheme is Scheme.HALF_DUPLEX:
+        return _hd_gains_batch(hsr, hrd)
+    if scheme is Scheme.OPTIMAL:
+        return hsr, hrd, hrr
+    wr, wt = _beamformers_batch(scheme, hsr, hrd, hrr)
+    return _fd_gains_batch(hsr, hrd, hrr, wr, wt)
+
+
+def _sinr_from_gains(
+    params: SystemParams, scheme: Scheme, gains: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """End-to-end SINR of each realization from its ``_chunk_gains``."""
+    if scheme is Scheme.HALF_DUPLEX:
+        return _hd_snr_from_gains(params, *gains)
+    if scheme is Scheme.OPTIMAL:
+        # Searching only realizations whose outage indicator is undecided is
+        # exact for Pr(gamma < gamma_th) and skips most of the work.
+        _, gamma = _optimal_wt_batch(params, *gains, resolve_above=params.gamma_th)
+        return gamma
+    first, second, _ = _fd_hops_from_gains(params, *gains)
+    return np.minimum(first, second)
+
+
 def _sinr_batch(
     params: SystemParams,
     scheme: Scheme,
@@ -104,18 +141,7 @@ def _sinr_batch(
     hrr: np.ndarray,
 ) -> np.ndarray:
     """End-to-end SINR of each realization under the given scheme."""
-    if scheme is Scheme.HALF_DUPLEX:
-        return _hd_snr_batch(params, hsr, hrd)
-    if scheme is Scheme.OPTIMAL:
-        # Searching only realizations whose outage indicator is undecided is
-        # exact for Pr(gamma < gamma_th) and skips most of the work.
-        _, gamma = _optimal_wt_batch(
-            params, hsr, hrd, hrr, resolve_above=params.gamma_th
-        )
-        return gamma
-    wr, wt = _beamformers_batch(scheme, hsr, hrd, hrr)
-    first, second, _ = _fd_hops_batch(params, hsr, hrd, hrr, wr, wt)
-    return np.minimum(first, second)
+    return _sinr_from_gains(params, scheme, _chunk_gains(scheme, hsr, hrd, hrr))
 
 
 def _check_integer(name: str, value: int, least: int) -> None:
@@ -130,31 +156,36 @@ def estimate_outage(
     seed: int,
     *,
     threads: int = 1,
-    chunks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
+    gains: Sequence[tuple[np.ndarray, ...]] | None = None,
 ) -> OutageEstimate:
     """Monte Carlo outage probability Pr(gamma < gamma_th).
 
     Scores trials 0 .. n_trials - 1 of ``seed`` (an integer >= 0), as every
     estimate with that seed does, and is deterministic for any thread count.
-    Each worker draws the chunks it scores; ``chunks`` instead hands over
-    draws already made: ``_chunk_channels`` results of ``seed`` for chunk
-    0, 1, ..., at least enough for ``n_trials``, of which the leading ones
-    are scored, so the estimate is exactly the one it would draw itself.
+    Each worker draws the chunks it scores and turns their leading trials
+    into ``_chunk_gains``; ``gains`` instead hands over gains already made:
+    ``_chunk_gains`` of this scheme for chunks 0, 1, ... of ``seed``, at
+    least enough for ``n_trials``, whose leading rows are scored, so the
+    estimate is exactly the one it would draw itself.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
+    _check_integer("n_trials", n_trials, 1)
     _check_integer("threads", threads, 1)
     _check_integer("seed", seed, 0)
     check_feasible(scheme, params.m_r, params.m_t)
     n_chunks = -(-n_trials // _CHUNK)
+    if gains is not None and len(gains) < n_chunks:
+        raise ValueError(
+            f"gains holds {len(gains)} chunks, {n_trials} trials need {n_chunks}"
+        )
 
     def count_chunk(chunk_idx: int) -> int:
-        if chunks is None:
-            hsr, hrd, hrr = _chunk_channels(params, seed, chunk_idx)
-        else:
-            hsr, hrd, hrr = chunks[chunk_idx]
         keep = min(_CHUNK, n_trials - chunk_idx * _CHUNK)
-        gamma = _sinr_batch(params, scheme, hsr[:keep], hrd[:keep], hrr[:keep])
+        if gains is None:
+            draws = _chunk_channels(params, seed, chunk_idx)
+            chunk = _chunk_gains(scheme, *(x[:keep] for x in draws))
+        else:
+            chunk = tuple(x[:keep] for x in gains[chunk_idx])
+        gamma = _sinr_from_gains(params, scheme, chunk)
         return int(np.count_nonzero(gamma < params.gamma_th))
 
     if threads > 1 and n_chunks > 1:
@@ -214,11 +245,11 @@ def _eval_point(
     threshold_mode: str,
     n_trials: int,
     seed: int,
-    chunks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    gains: Sequence[tuple[np.ndarray, ...]],
     threads: int,
 ) -> ThroughputPoint:
     p_alpha = params_at_alpha(params, alpha, threshold_mode)
-    est = estimate_outage(p_alpha, scheme, n_trials, seed, threads=threads, chunks=chunks)
+    est = estimate_outage(p_alpha, scheme, n_trials, seed, threads=threads, gains=gains)
     return ThroughputPoint(
         alpha=alpha,
         outage=est.p_hat,
@@ -276,11 +307,13 @@ def _search_alpha_batch(
 
     Every search makes ``len(alphas) + 2 + _REFINE_ITERS`` probes.  The
     chunks of ``seed`` (an integer >= 0) for ``max(trials)`` are drawn once,
-    before the first probe, and every probe of every scheme is scored on
-    them, so each probe is the plain ``estimate_outage`` at its alpha.  One
-    pool of ``threads`` workers runs the whole searches, the costly optimal
-    one first: side by side each scores on one thread, and a lone search
-    splits each estimate's chunks over all of them.
+    before the first probe.  Each search turns the chunks its trial count
+    reads into its scheme's ``_chunk_gains`` once, on its own worker, and
+    scores every probe on them, so each probe is the plain
+    ``estimate_outage`` at its alpha.  One pool of ``threads`` workers runs
+    the whole searches, the costly optimal one first: side by side each
+    scores on one thread, and a lone search splits each estimate's chunks
+    over all of them.
     """
     _check_integer("threads", threads, 1)
     _check_integer("seed", seed, 0)
@@ -288,6 +321,8 @@ def _search_alpha_batch(
         raise ValueError("alphas must not be empty")
     if len(trials) != len(schemes):
         raise ValueError("need one trial count per scheme")
+    for i, n_trials in enumerate(trials):
+        _check_integer(f"trials[{i}]", n_trials, 1)
     for scheme in schemes:
         check_feasible(scheme, params.m_r, params.m_t)
     n_chunks = -(-max(trials, default=0) // _CHUNK)
@@ -296,8 +331,13 @@ def _search_alpha_batch(
     per_estimate = threads if len(schemes) == 1 else 1
 
     def search(i: int) -> AlphaSearch:
+        scheme, n_trials = schemes[i], trials[i]
+        gains = [
+            _chunk_gains(scheme, *(x[:n_trials - j * _CHUNK] for x in chunks[j]))
+            for j in range(-(-n_trials // _CHUNK))
+        ]
         return _alpha_search(lambda alpha: _eval_point(
-            params, schemes[i], alpha, threshold_mode, trials[i], seed, chunks, per_estimate
+            params, scheme, alpha, threshold_mode, n_trials, seed, gains, per_estimate
         ), alphas)
 
     order = sorted(range(len(schemes)), key=lambda i: schemes[i] is not Scheme.OPTIMAL)
@@ -326,8 +366,7 @@ def optimize_alpha(
     toward smaller alpha.  An end point's refinement bracket reaches halfway
     to the boundary (0 or 1).
     """
-    if grid < 8:
-        raise ValueError("grid must have at least 8 points")
+    _check_integer("grid", grid, 8)
     alphas = [(i + 1) / (grid + 1) for i in range(grid)]
     (found,) = _search_alpha_batch(
         params, [scheme], alphas, [n_trials], seed,

@@ -2,9 +2,13 @@
 
 Two batched kernels (leading axis = independent realizations) hold the
 formulas: ``_fd_hops_batch`` evaluates the general full-duplex hops for any
-combiner/beamformer rows, ``_hd_snr_batch`` the half-duplex baseline.  The
-Monte Carlo driver and the optimal search call them directly; ``e2e_sinr``
-and ``hd_snr`` are their n = 1 wrappers.
+combiner/beamformer rows, ``_hd_snr_batch`` the half-duplex baseline.  Each
+is two steps: per-draw gains that do not depend on the system parameters
+(``_fd_gains_batch``, ``_hd_gains_batch``), then the formula that turns
+gains into SINR (``_fd_hops_from_gains``, ``_hd_snr_from_gains``), so the
+Monte Carlo driver can score many harvesting splits on gains computed once.
+The optimal search calls ``_fd_hops_batch`` directly; ``e2e_sinr`` and
+``hd_snr`` are the n = 1 wrappers of the kernels.
 
 The full-duplex expression is evaluated in its general form for every scheme;
 the scheme-specific algebraic reductions live only in the analytic outage
@@ -42,15 +46,26 @@ class SinrBreakdown:
     li_power: float
 
 
-def _fd_hops_batch(
-    params: SystemParams,
-    hsr: np.ndarray,
-    hrd: np.ndarray,
-    hrr: np.ndarray,
-    wr: np.ndarray,
-    wt: np.ndarray,
+def _fd_gains_batch(
+    hsr: np.ndarray, hrd: np.ndarray, hrr: np.ndarray, wr: np.ndarray, wt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Alpha-free gains that fix both full-duplex hops of each realization.
+
+    S = ||h_sr||^2, the combined signal gain |w_r h_sr|^2, the loop leakage
+    |w_r H_rr w_t|^2 and the relay-destination gain |h_rd w_t|^2.
+    """
+    s = np.sum(np.abs(hsr) ** 2, axis=1)
+    sig = np.abs(np.einsum("ni,ni->n", wr, hsr)) ** 2
+    v = np.einsum("nij,nj->ni", hrr, wt)
+    leak = np.abs(np.einsum("ni,ni->n", wr, v)) ** 2
+    rd = np.abs(np.einsum("ni,ni->n", hrd, wt)) ** 2
+    return s, sig, leak, rd
+
+
+def _fd_hops_from_gains(
+    params: SystemParams, s: np.ndarray, sig: np.ndarray, leak: np.ndarray, rd: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First hop, second hop and loop-interference power of each realization.
+    """First hop, second hop and loop-interference power from the gains.
 
     First hop: p_s |w_r h_sr|^2 / (kappa p_s ||h_sr||^2 |w_r H_rr w_t|^2 + d1^tau),
     i.e. numerator and denominator both scaled by d1^tau relative to the
@@ -60,19 +75,35 @@ def _fd_hops_batch(
     d1t = params.d1**params.tau
     d2t = params.d2**params.tau
     kps = params.kappa * params.p_s
-    s = np.sum(np.abs(hsr) ** 2, axis=1)
-    sig = params.p_s * np.abs(np.einsum("ni,ni->n", wr, hsr)) ** 2
-    v = np.einsum("nij,nj->ni", hrr, wt)
-    li = kps * s * np.abs(np.einsum("ni,ni->n", wr, v)) ** 2
-    first = sig / (li + d1t)
-    second = kps / (d1t * d2t) * s * np.abs(np.einsum("ni,ni->n", hrd, wt)) ** 2
+    li = kps * s * leak
+    first = params.p_s * sig / (li + d1t)
+    second = kps / (d1t * d2t) * s * rd
     return first, second, li
 
 
-def _hd_snr_batch(
-    params: SystemParams, hsr: np.ndarray, hrd: np.ndarray
+def _fd_hops_batch(
+    params: SystemParams,
+    hsr: np.ndarray,
+    hrd: np.ndarray,
+    hrr: np.ndarray,
+    wr: np.ndarray,
+    wt: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First hop, second hop and loop-interference power of each realization."""
+    return _fd_hops_from_gains(params, *_fd_gains_batch(hsr, hrd, hrr, wr, wt))
+
+
+def _hd_gains_batch(
+    hsr: np.ndarray, hrd: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Alpha-free gains of the half-duplex baseline: ||h_sr||^2 and ||h_rd||^2."""
+    return np.sum(np.abs(hsr) ** 2, axis=1), np.sum(np.abs(hrd) ** 2, axis=1)
+
+
+def _hd_snr_from_gains(
+    params: SystemParams, s: np.ndarray, r: np.ndarray
 ) -> np.ndarray:
-    """End-to-end SNR of the half-duplex baseline for each realization.
+    """End-to-end SNR of the half-duplex baseline from its gains.
 
     Harvesting is unchanged, but the active time is split evenly between the
     two hops, so the relay spends its harvested energy over half the window
@@ -86,8 +117,14 @@ def _hd_snr_batch(
     d2t = params.d2**params.tau
     c1 = params.p_s / d1t
     c3 = params.kappa * params.p_s / (d1t * d2t)
-    s = np.sum(np.abs(hsr) ** 2, axis=1)
-    return s * np.minimum(c1, 2.0 * c3 * np.sum(np.abs(hrd) ** 2, axis=1))
+    return s * np.minimum(c1, 2.0 * c3 * r)
+
+
+def _hd_snr_batch(
+    params: SystemParams, hsr: np.ndarray, hrd: np.ndarray
+) -> np.ndarray:
+    """End-to-end SNR of the half-duplex baseline for each realization."""
+    return _hd_snr_from_gains(params, *_hd_gains_batch(hsr, hrd))
 
 
 def e2e_sinr(

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from fdrelay.errors import InfeasibleSchemeError
 from fdrelay.simkit import (
     _CHUNK,
     _chunk_channels,
+    _chunk_gains,
     _search_alpha_batch,
     _sinr_batch,
+    _sinr_from_gains,
     params_at_alpha,
 )
 
@@ -58,7 +61,7 @@ def _near_degenerate_channels():
 def _oracle_estimates(monkeypatch, oracle):
     """Make every outage estimate of the alpha search ``oracle(params, scheme)``."""
 
-    def fake(params, scheme, n_trials, seed, *, threads=1, chunks=None):
+    def fake(params, scheme, n_trials, seed, *, threads=1, gains=None):
         return OutageEstimate(oracle(params, scheme), 0.0, n_trials, seed)
 
     monkeypatch.setattr(simkit, "estimate_outage", fake)
@@ -120,15 +123,26 @@ class TestEstimateOutage:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n_trials", [3 * _CHUNK + 517, 5000])
     def test_pre_drawn_chunks_give_the_drawn_estimate(self, threads, n_trials):
-        # Four chunks of seed 8: all of them for the first count (whose
-        # last chunk is partial), only the leading one for the second.
+        # The gains of four chunks of seed 8: all of them for the first
+        # count (whose last chunk is partial), only the leading one for the
+        # second.
         params = make_params(3, 2, sigma2_li=0.2)
         chunks = [_chunk_channels(params, 8, j) for j in range(4)]
-        for scheme in (Scheme.RZF, Scheme.HALF_DUPLEX):
+        for scheme in (Scheme.RZF, Scheme.HALF_DUPLEX, Scheme.TZF, Scheme.MRC_MRT,
+                       Scheme.OPTIMAL):
+            gains = [_chunk_gains(scheme, *chunk) for chunk in chunks]
             given = estimate_outage(params, scheme, n_trials, 8, threads=threads,
-                                    chunks=chunks)
+                                    gains=gains)
             drawn = estimate_outage(params, scheme, n_trials, 8, threads=threads)
             assert given == drawn
+
+    def test_gains_that_miss_trials_are_rejected(self):
+        params = make_params(3, 2)
+        gains = [_chunk_gains(Scheme.TZF, *_chunk_channels(params, 8, 0))]
+        with pytest.raises(ValueError, match="gains"):
+            estimate_outage(params, Scheme.TZF, _CHUNK + 1, 8, gains=gains)
+        with pytest.raises(ValueError, match="gains"):
+            estimate_outage(params, Scheme.TZF, 10, 8, gains=[])
 
     def test_infeasible_scheme(self):
         with pytest.raises(InfeasibleSchemeError):
@@ -211,6 +225,51 @@ class TestBatchScalarConsistency:
                     scalar = e2e_sinr(scaled, params, maker(scaled)).e2e
                     assert scalar == pytest.approx(batch[i], rel=1e-9)
                 assert batch == pytest.approx(np.full(scales.size, batch[0]), rel=1e-6)
+
+
+class TestSplitKernel:
+    """Gains computed once give every SINR bit for bit, at any alpha."""
+
+    MAKERS = {Scheme.TZF: tzf, Scheme.RZF: rzf, Scheme.MRC_MRT: mrc_mrt}
+    SPLITS = [(0.1, "fixed"), (0.5, "fixed"), (0.3, "rate_coupled"), (0.8, "rate_coupled")]
+
+    def _assert_exact(self, params, hsr, hrd, hrr):
+        for scheme in (*self.MAKERS, Scheme.HALF_DUPLEX):
+            gains = _chunk_gains(scheme, hsr, hrd, hrr)
+            for alpha, mode in self.SPLITS:
+                p = params_at_alpha(params, alpha, mode)
+                split = _sinr_from_gains(p, scheme, gains)
+                assert np.array_equal(split, _sinr_batch(p, scheme, hsr, hrd, hrr))
+                for i in range(hsr.shape[0]):
+                    ch = ChannelRealization(hsr[i], hrd[i], hrr[i])
+                    if scheme is Scheme.HALF_DUPLEX:
+                        scalar = hd_snr(ch, p)
+                    else:
+                        scalar = e2e_sinr(ch, p, self.MAKERS[scheme](ch)).e2e
+                    assert scalar == split[i], (scheme, alpha, mode, i)
+
+    def test_matches_batch_and_per_realization_paths(self):
+        params = make_params(3, 2, 4.0, sigma2_li=0.2)
+        hsr, hrd, hrr = _chunk_channels(params, 11, 0)
+        self._assert_exact(params, hsr[:64], hrd[:64], hrr[:64])
+
+    def test_matches_on_degenerate_loops(self):
+        params = make_params(3, 2, 4.0, sigma2_li=0.2)
+        scales = 10.0 ** np.arange(-4, 9)
+        for ch in _near_degenerate_channels():
+            hsr = np.repeat(ch.h_sr[None, :], scales.size, axis=0)
+            hrd = np.repeat(ch.h_rd[None, :], scales.size, axis=0)
+            hrr = scales[:, None, None] * ch.h_rr[None, :, :]
+            self._assert_exact(params, hsr, hrd, hrr)
+
+    def test_leading_rows_of_chunk_gains_are_the_gains_of_leading_draws(self):
+        params = make_params(3, 3)
+        draws = _chunk_channels(params, 5, 0)
+        for scheme in (*self.MAKERS, Scheme.HALF_DUPLEX, Scheme.OPTIMAL):
+            full = _chunk_gains(scheme, *draws)
+            for keep in (1, 517, _CHUNK - 1):
+                lead = _chunk_gains(scheme, *(x[:keep] for x in draws))
+                assert all(np.array_equal(f[:keep], g) for f, g in zip(full, lead))
 
 
 class TestThroughput:
@@ -403,6 +462,30 @@ class TestLockstepSearch:
                                 threads=threads)
             assert draws == [0, 1]
 
+    def test_each_search_computes_beamformers_once_per_chunk(self, monkeypatch):
+        # No probe recomputes the closed-form beamformers: each search builds
+        # them once for every chunk its trial count reads (the last one cut
+        # to its trials), and half duplex and the optimal search use none.
+        built = Counter()
+        original = simkit._beamformers_batch
+
+        def counted(scheme, hsr, hrd, hrr):
+            built[scheme, hsr.shape[0]] += 1
+            return original(scheme, hsr, hrd, hrr)
+
+        monkeypatch.setattr(simkit, "_beamformers_batch", counted)
+        params = make_params(2, 2)
+        schemes = [Scheme.TZF, Scheme.RZF, Scheme.MRC_MRT, Scheme.HALF_DUPLEX, Scheme.OPTIMAL]
+        for threads in (1, 2):
+            built.clear()
+            _search_alpha_batch(params, schemes, SHORT_GRID, [9000, 100, 17000, 9000, 50],
+                                seed=4, threads=threads)
+            assert built == {
+                (Scheme.TZF, _CHUNK): 1, (Scheme.TZF, 9000 - _CHUNK): 1,
+                (Scheme.RZF, 100): 1,
+                (Scheme.MRC_MRT, _CHUNK): 2, (Scheme.MRC_MRT, 17000 - 2 * _CHUNK): 1,
+            }
+
     def test_optimal_result_does_not_depend_on_its_place(self):
         # Side by side, the optimal search is submitted first wherever it
         # sits in ``schemes``; every search still returns what it would alone.
@@ -456,6 +539,27 @@ class TestSeeds:
             estimate_outage(params, Scheme.TZF, 10, seed=seed)
         with pytest.raises(ValueError, match="seed"):
             _search_alpha_batch(params, [Scheme.TZF], SHORT_GRID, [10], seed=seed)
+
+
+class TestTrialCounts:
+    """A trial count or grid size that is not an integer in range is rejected
+    where it enters, before any channel is drawn."""
+
+    @pytest.mark.parametrize("count", [0, -3, 2.5, True])
+    def test_rejected_at_every_entry_point(self, count, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(simkit, "_chunk_channels", lambda *args: drawn.append(args))
+        params = make_params(2, 2)
+        with pytest.raises(ValueError, match="n_trials"):
+            estimate_outage(params, Scheme.TZF, count, seed=0)
+        with pytest.raises(ValueError, match="trials"):
+            optimize_alpha(params, Scheme.TZF, count, grid=8, seed=0)
+        with pytest.raises(ValueError, match="grid"):
+            optimize_alpha(params, Scheme.TZF, 10, grid=count, seed=0)
+        with pytest.raises(ValueError, match=r"trials\[1\]"):
+            _search_alpha_batch(params, [Scheme.TZF, Scheme.RZF], SHORT_GRID, [10, count],
+                                seed=0)
+        assert drawn == []
 
 
 class TestThreadCounts:
