@@ -6,8 +6,10 @@ acceptance suite shares: special-function identities, analytic CDFs against
 Monte Carlo, the survival-exponent resolution for the
 single-transmit-antenna matched scheme, diversity slopes, asymptotic ratios,
 the MRC/MRT outage floor, the low-SNR matched-filter advantage, and
-worker-count reproducibility.
+worker-count reproducibility.  Exits 1 if any check fails.
 """
+
+import sys
 
 from fdrelay.experiment import ExperimentConfig, run_validation
 from fdrelay import SystemParams
@@ -27,7 +29,7 @@ CFG = ExperimentConfig(
 )
 
 
-def main() -> None:
+def main() -> int:
     report = run_validation(CFG)
     width = max(len(c.name) for c in report.checks)
     for check in report.checks:
@@ -36,7 +38,8 @@ def main() -> None:
               f"bound={check.bound:.3e} {check.detail}")
     print(f"\n{'all checks passed' if report.passed else 'FAILURES PRESENT'} "
           f"in {report.elapsed_s:.1f}s")
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -19,6 +19,7 @@ import io
 import json
 import math
 import numbers
+import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -86,6 +87,17 @@ def _numbers(name: str, values) -> list[float]:
     return [float(v) for v in values]
 
 
+def _from_db(kind: str, db: float) -> float:
+    """Linear value 10^(db/10) of one sweep point; it must be a normal float."""
+    try:
+        linear = 10.0 ** (db / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not sys.float_info.min <= linear <= sys.float_info.max:
+        raise ConfigError(f"sweep point {kind} = {db!r} is beyond the float range as a ratio")
+    return linear
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: system, schemes, sweep axis, trial budget, outputs."""
@@ -121,7 +133,8 @@ class ExperimentConfig:
         kind = self.sweep_kind()
         grid = self.sweep[kind]
         if kind != "alpha":
-            _numbers(f"sweep list {kind!r}", grid)
+            for db in _numbers(f"sweep list {kind!r}", grid):
+                _from_db(kind, db)
         elif not (isinstance(grid, dict) and len(grid) == 1
                   and set(grid) <= {"points", "values"}):
             raise ConfigError(
@@ -331,9 +344,9 @@ def run_outage_sweep(cfg: ExperimentConfig) -> SweepResult:
     for scheme in cfg.schemes:
         for point in points:
             if kind_axis == "snr_db":
-                p = replace(cfg.params, p_s=10.0 ** (float(point) / 10.0))
+                p = replace(cfg.params, p_s=_from_db(kind_axis, float(point)))
             else:
-                p = replace(cfg.params, gamma_th=10.0 ** (float(point) / 10.0))
+                p = replace(cfg.params, gamma_th=_from_db(kind_axis, float(point)))
             base = {
                 "scheme": scheme.value,
                 "rho1_db": 10.0 * math.log10(p.p_s),

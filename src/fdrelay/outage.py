@@ -185,6 +185,10 @@ def outage_rzf_asymptotic(q: OutageQuery) -> float:
 
     Keyed by m_r versus m_t + 1; the balanced case adds the two equal-order
     contributions of the projected first hop and the harvested second hop.
+    For m_r < m_t + 1 only the leading term lam^(m_r-1)/Gamma(m_r) is kept,
+    and where c = d2^tau/kappa is large the next-order second-hop term rules
+    far past 40 dB: at (m_r, m_t) = (4, 4), d2 = 3, alpha = 0.1 (c = 243) the
+    law is 2.37e-5 of the exact ``outage_rzf`` at 40 dB and 0.054 at 80 dB.
     """
     p = q.params
     check_feasible(Scheme.RZF, p.m_r, p.m_t)

@@ -54,7 +54,7 @@ import numpy as np
 
 from .channel import ChannelRealization, SystemParams
 from .errors import DegenerateChannelError, InfeasibleSchemeError
-from .sinr import _fd_hops_batch
+from .sinr import _fd_gains_batch, _fd_hops_from_gains
 
 __all__ = [
     "Scheme",
@@ -256,7 +256,7 @@ def _hops_for_wt(
 ) -> tuple[np.ndarray, np.ndarray]:
     """First- and second-hop SINR achieved by ``wt`` with its optimal combiner."""
     wr = _combiner_for_wt(params, hsr, hrr, wt)
-    first, second, _ = _fd_hops_batch(params, hsr, hrd, hrr, wr, wt)
+    first, second, _ = _fd_hops_from_gains(params, *_fd_gains_batch(hsr, hrd, hrr, wr, wt))
     return first, second
 
 
@@ -388,85 +388,67 @@ def _optimal_wt_batch(
     n, m_t = hrd.shape
     _, matched = _beamformers_batch(Scheme.MRC_MRT, hsr, hrd, hrr)
     best_wt = matched.copy()
-    first_mrt, second_mrt = _hops_for_wt(params, hsr, hrd, hrr, best_wt)
-    best_gamma = np.minimum(first_mrt, second_mrt)
+    first_mrt, second_hi = _hops_for_wt(params, hsr, hrd, hrr, best_wt)
+    best_gamma = np.minimum(first_mrt, second_hi)
 
     if m_t == 1:
         return best_wt, best_gamma
 
+    # Each realization's bracket [lo, hi] with the achieved first hop at lo
+    # and second hop at hi; ``rows`` indexes the realizations still undecided.
     d1t = params.d1**params.tau
-    kt = params.kappa * params.p_s / d1t
-    s_all = np.sum(np.abs(hsr) ** 2, axis=1)
-    active = np.arange(n)
-    state = {
-        "first_lo": params.p_s / d1t * s_all,
-        "second_hi": second_mrt,
-        "a": np.einsum("nij,ni->nj", np.conj(hrr), hsr),
-    }
+    s = np.sum(np.abs(hsr) ** 2, axis=1)
+    a = np.einsum("nij,ni->nj", np.conj(hrr), hsr)
+    first_lo = params.p_s / d1t * s
+    lo, hi = np.zeros(n), np.zeros(n)
 
-    def compress(keep: np.ndarray | None = None) -> None:
-        """Drop the realizations not in ``keep`` and those already decided."""
-        nonlocal active
-        if keep is None:
-            keep = np.ones(active.size, dtype=bool)
-        ceiling = np.minimum(state["first_lo"], state["second_hi"])
-        keep &= ~(best_gamma[active] >= ceiling)
+    def undecided(rows: np.ndarray) -> np.ndarray:
+        ceiling = np.minimum(first_lo[rows], second_hi[rows])
+        keep = ~(best_gamma[rows] >= ceiling)
         if resolve_above is not None:
-            keep &= (best_gamma[active] < resolve_above) & ~(ceiling < resolve_above)
-        if keep.all():
-            return
-        active = active[keep]
-        for key, val in state.items():
-            state[key] = val[keep]
+            keep &= (best_gamma[rows] < resolve_above) & ~(ceiling < resolve_above)
+        return rows[keep]
+
+    def score(rows: np.ndarray, ch: tuple, wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        first, second = _hops_for_wt(params, *ch, wt)
+        gamma = np.minimum(first, second)
+        better = gamma > best_gamma[rows]
+        best_wt[rows[better]] = wt[better]
+        best_gamma[rows[better]] = gamma[better]
+        return first, second
 
     # Without a loop direction the matched combiner picks up no leakage, so
     # the matched beamformer is already optimal: search only the others.
-    compress(~_loop_vanishes(state["a"], hsr, hrr))
-    if active.size == 0:
+    rows = undecided(np.flatnonzero(~_loop_vanishes(a, hsr, hrr)))
+    if rows.size == 0:
         return best_wt, best_gamma
 
-    # The bisection bracket [lo, hi] starts as [0, t_mrt], where t_mrt is the
-    # matched beamformer's own leakage level.
-    hsr_a, hrd_a, hrr_a = hsr[active], hrd[active], hrr[active]
-    v_mrt = np.einsum("nij,nj->ni", hrr_a, matched[active])
-    aw = np.abs(np.einsum("ni,ni->n", np.conj(hsr_a), v_mrt)) ** 2
+    # The bisection bracket starts as [0, t_mrt], where t_mrt is the matched
+    # beamformer's own leakage level, and the transmit-ZF seed (t = 0) is
+    # scored at its lower end.
+    ch = hsr[rows], hrd[rows], hrr[rows]
+    v_mrt = np.einsum("nij,nj->ni", ch[2], matched[rows])
+    aw = np.abs(np.einsum("ni,ni->n", np.conj(ch[0]), v_mrt)) ** 2
     cw = np.sum(np.abs(v_mrt) ** 2, axis=1)
-    kts = kt * s_all[active]
-    state.update(
-        hsr=hsr_a, hrd=hrd_a, hrr=hrr_a, hdir=np.conj(hrd_a),
-        c=np.einsum("nij,nik->njk", np.conj(hrr_a), hrr_a),
-        lo=np.zeros(active.size), hi=kts * aw / (1.0 + kts * cw),
-    )
-
-    def hops_at(wt_sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        first, second = _hops_for_wt(
-            params, state["hsr"], state["hrd"], state["hrr"], wt_sub
-        )
-        gamma_sub = np.minimum(first, second)
-        better = gamma_sub > best_gamma[active]
-        rows = active[better]
-        best_wt[rows] = wt_sub[better]
-        best_gamma[rows] = gamma_sub[better]
-        return first, second
-
-    # The transmit-ZF seed (t = 0) is the other end of the range.
-    state["first_lo"] = hops_at(_beamformers_batch(Scheme.TZF, hsr_a, hrd_a, hrr_a)[1])[0]
-    compress()
+    kts = params.kappa * params.p_s / d1t * s[rows]
+    hi[rows] = kts * aw / (1.0 + kts * cw)
+    first_lo[rows] = score(rows, ch, _beamformers_batch(Scheme.TZF, *ch)[1])[0]
+    rows = undecided(rows)
 
     # The first hop falls and the second does not, so the sign of
     # second - first locates their crossing.
     for _ in range(_CROSSING_STEPS):
-        if active.size == 0:
+        if rows.size == 0:
             break
-        mid = 0.5 * (state["lo"] + state["hi"])
-        first, second = hops_at(_wt_at_leakage(
-            params, state["hsr"], state["hdir"], state["a"], state["c"], mid
-        ))
-        go_up = second < first
-        state["lo"] = np.where(go_up, mid, state["lo"])
-        state["first_lo"] = np.where(go_up, first, state["first_lo"])
-        state["hi"] = np.where(go_up, state["hi"], mid)
-        state["second_hi"] = np.where(go_up, state["second_hi"], second)
-        compress()
+        ch = hsr[rows], hrd[rows], hrr[rows]
+        mid = 0.5 * (lo[rows] + hi[rows])
+        c = np.einsum("nij,nik->njk", np.conj(ch[2]), ch[2])
+        first, second = score(
+            rows, ch, _wt_at_leakage(params, ch[0], np.conj(ch[1]), a[rows], c, mid)
+        )
+        up = second < first
+        lo[rows[up]], first_lo[rows[up]] = mid[up], first[up]
+        hi[rows[~up]], second_hi[rows[~up]] = mid[~up], second[~up]
+        rows = undecided(rows)
 
     return best_wt, best_gamma

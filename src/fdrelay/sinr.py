@@ -1,14 +1,13 @@
 """Exact end-to-end SINR evaluation for full-duplex and half-duplex relaying.
 
-Two batched kernels (leading axis = independent realizations) hold the
-formulas: ``_fd_hops_batch`` evaluates the general full-duplex hops for any
-combiner/beamformer rows, ``_hd_snr_batch`` the half-duplex baseline.  Each
-is two steps: per-draw gains that do not depend on the system parameters
-(``_fd_gains_batch``, ``_hd_gains_batch``), then the formula that turns
-gains into SINR (``_fd_hops_from_gains``, ``_hd_snr_from_gains``), so the
-Monte Carlo driver can score many harvesting splits on gains computed once.
-The optimal search calls ``_fd_hops_batch`` directly; ``e2e_sinr`` and
-``hd_snr`` are the n = 1 wrappers of the kernels.
+Both formulas, full duplex for any combiner/beamformer rows and the
+half-duplex baseline, are batched (leading axis = independent realizations)
+and split in two steps: per-draw gains that do not depend on the system
+parameters (``_fd_gains_batch``, ``_hd_gains_batch``), then the formula that
+turns gains into SINR (``_fd_hops_from_gains``, ``_hd_snr_from_gains``), so
+the Monte Carlo engine can score many harvesting splits on gains computed
+once.  The optimal search and the n = 1 wrappers ``e2e_sinr`` and ``hd_snr``
+compose the two steps.
 
 The full-duplex expression is evaluated in its general form for every scheme;
 the scheme-specific algebraic reductions live only in the analytic outage
@@ -81,18 +80,6 @@ def _fd_hops_from_gains(
     return first, second, li
 
 
-def _fd_hops_batch(
-    params: SystemParams,
-    hsr: np.ndarray,
-    hrd: np.ndarray,
-    hrr: np.ndarray,
-    wr: np.ndarray,
-    wt: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First hop, second hop and loop-interference power of each realization."""
-    return _fd_hops_from_gains(params, *_fd_gains_batch(hsr, hrd, hrr, wr, wt))
-
-
 def _hd_gains_batch(
     hsr: np.ndarray, hrd: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -120,13 +107,6 @@ def _hd_snr_from_gains(
     return s * np.minimum(c1, 2.0 * c3 * r)
 
 
-def _hd_snr_batch(
-    params: SystemParams, hsr: np.ndarray, hrd: np.ndarray
-) -> np.ndarray:
-    """End-to-end SNR of the half-duplex baseline for each realization."""
-    return _hd_snr_from_gains(params, *_hd_gains_batch(hsr, hrd))
-
-
 def e2e_sinr(
     ch: ChannelRealization, params: SystemParams, pair: BeamformingPair
 ) -> SinrBreakdown:
@@ -137,10 +117,10 @@ def e2e_sinr(
         raise ValueError("transmit-side dimensions do not match params.m_t")
     if ch.h_rr.shape != (params.m_r, params.m_t):
         raise ValueError("loop-channel shape does not match antenna counts")
-    first, second, li = _fd_hops_batch(
-        params, ch.h_sr[None, :], ch.h_rd[None, :], ch.h_rr[None, :, :],
+    first, second, li = _fd_hops_from_gains(params, *_fd_gains_batch(
+        ch.h_sr[None, :], ch.h_rd[None, :], ch.h_rr[None, :, :],
         pair.w_r[None, :], pair.w_t[None, :],
-    )
+    ))
     return SinrBreakdown(
         first_hop=float(first[0]),
         second_hop=float(second[0]),
@@ -151,4 +131,5 @@ def e2e_sinr(
 
 def hd_snr(ch: ChannelRealization, params: SystemParams) -> float:
     """End-to-end SNR of the half-duplex baseline for one realization."""
-    return float(_hd_snr_batch(params, ch.h_sr[None, :], ch.h_rd[None, :])[0])
+    gains = _hd_gains_batch(ch.h_sr[None, :], ch.h_rd[None, :])
+    return float(_hd_snr_from_gains(params, *gains)[0])

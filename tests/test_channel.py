@@ -14,14 +14,12 @@ from helpers import make_params
 
 @pytest.fixture(scope="module")
 def gain_draws():
-    """||h_sr||^2 over 1e6 draws at m_r = 2 (shared by the fit tests)."""
-    params = make_params(2, 2)
-    rng = np.random.default_rng(42)
-    gains = np.empty(1_000_000)
-    for i in range(gains.size):
-        ch = sample_channel(params, rng)
-        gains[i] = np.sum(np.abs(ch.h_sr) ** 2)
-    return gains
+    """||h_sr||^2 over 1e6 draws at m_r = 2 (shared by the fit tests).
+
+    One batched draw; ``sample_channel`` is its row 0 (pinned below).
+    """
+    hsr, _, _ = _draw_channels(make_params(2, 2), np.random.default_rng(42), 1_000_000)
+    return np.sum(np.abs(hsr) ** 2, axis=1)
 
 
 def test_zero_loop_variance_gives_zero_matrix():

@@ -27,6 +27,9 @@ BAD_SWEEPS = (
     {"snr_db": [float("inf")]}, {"threshold_db": [True]},
     {"snr_db": [1.0], "extra": 3}, {"alpha": {"points": 3}, "extra": 3},
     {"alpha": {"values": [0.3], "points": 7}}, {"alpha": {"points": 7, "step": 2}},
+    # dB points whose linear value leaves the float range
+    {"snr_db": [4000]}, {"snr_db": [-4000]},
+    {"threshold_db": [4000]}, {"threshold_db": [-4000]},
 )
 
 

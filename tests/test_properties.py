@@ -1,9 +1,9 @@
 """Property tests: the top-eigenvector kernel and the multiplier root-find
 built on it, the hop shapes along the leakage range that make the optimal
 search's crossing bisection exact, the bracket ceiling that prunes it,
-optimal-search dominance, the rotation invariance of every scheme's SINR,
-the batched SINR kernel against its n = 1 wrappers, and the monotonicity of
-every analytic outage CDF."""
+the search's independence of batch order, optimal-search dominance, the
+rotation invariance of every scheme's SINR, the batched SINR kernel against
+its n = 1 wrappers, and the monotonicity of every analytic outage CDF."""
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from fdrelay import (
 )
 from fdrelay.errors import InfeasibleSchemeError
 from fdrelay.precoding import (
+    _beamformers_batch,
     _constrained_gain_dirs,
     _hops_for_wt,
     _optimal_wt_batch,
@@ -188,6 +189,31 @@ def test_bracket_ceiling_prunes_only_decided_rows(m_r, m_t, seed, p_s, sigma2_li
     for th in 0.5 * (ordered[1:] + ordered[:-1]):
         _, g_pruned = _optimal_wt_batch(params, hsr, hrd, hrr, resolve_above=th)
         assert np.array_equal(g_pruned < th, g_full < th), th
+
+
+def test_pruned_search_rows_move_with_their_draws():
+    # A batch mixing rows without a loop, rows that each seed decides and
+    # rows that reach the crossing bisection: shuffling its rows shuffles
+    # (wt, gamma) and changes no bit, without a threshold and with one
+    # halfway between two SINRs of the batch.
+    params = make_params(3, 3, 100.0, sigma2_li=0.3)
+    hsr, hrd, hrr = (x[:128] for x in _chunk_channels(params, 3, 0))
+    hrr = hrr.copy()
+    hrr[:8] = 0.0
+    seeds = [_beamformers_batch(s, hsr, hrd, hrr)[1] for s in (Scheme.MRC_MRT, Scheme.TZF)]
+    (f_mrt, s_mrt), (f_tzf, s_tzf) = (_hops_for_wt(params, hsr, hrd, hrr, wt) for wt in seeds)
+    matched_wins, tzf_wins = (s_mrt <= f_mrt)[8:], (s_tzf >= f_tzf)[8:]
+    assert matched_wins.sum() >= 4 and tzf_wins.sum() >= 4
+    assert (~(matched_wins | tzf_wins)).sum() >= 4
+    _, g_full = _optimal_wt_batch(params, hsr, hrd, hrr)
+    ordered = np.sort(g_full)
+    perm = np.random.default_rng(0).permutation(hsr.shape[0])
+    for th in (None, 0.5 * (ordered[63] + ordered[64])):
+        wt, gamma = _optimal_wt_batch(params, hsr, hrd, hrr, resolve_above=th)
+        wt_p, gamma_p = _optimal_wt_batch(
+            params, hsr[perm], hrd[perm], hrr[perm], resolve_above=th
+        )
+        assert np.array_equal(wt_p, wt[perm]) and np.array_equal(gamma_p, gamma[perm]), th
 
 
 _CLOSED_FORM = {Scheme.MRC_MRT: mrc_mrt, Scheme.TZF: tzf, Scheme.RZF: rzf}
