@@ -16,7 +16,9 @@ matched w_r and w_t are unit vectors independent of H_rr, so the loop pickup
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +84,22 @@ def _clip_prob(x: float) -> float:
     return float(np.clip(x, 0.0, 1.0))
 
 
+def _inf_on_overflow(law: Callable[[OutageQuery], float]) -> Callable[[OutageQuery], float]:
+    """``law``, returning inf where its value leaves the float range.
+
+    A Python float power raises OverflowError instead of giving inf, and far
+    from high SNR (rho1 = -3000 dB, say) lam^k is past the float range.
+    """
+    @functools.wraps(law)
+    def guarded(q: OutageQuery) -> float:
+        try:
+            return law(q)
+        except OverflowError:
+            return math.inf
+
+    return guarded
+
+
 def _gamma_min_cdf(m_first: int, m_second: int, lam: float, c: float) -> float:
     """CDF at ``lam`` of W * min(1, V/c) with W ~ Gamma(m_first), V ~ Gamma(m_second).
 
@@ -92,15 +110,20 @@ def _gamma_min_cdf(m_first: int, m_second: int, lam: float, c: float) -> float:
             + int_lam^inf P(m_second, c*lam/x) x^(m_first-1) e^-x dx / Gamma(m_first),
 
     whose terms are all small and positive at high SNR; the survival form
-    1 - int Q(...) would lose the tiny outage to cancellation.
+    1 - int Q(...) would lose the tiny outage to cancellation.  Where
+    P(m_first, lam) rounds to 1 no tail can change F, so it is not
+    integrated (far from high SNR its integrand is 0 * inf).
     """
+    head = reg_gamma_p(m_first, lam)
+    if head == 1.0:
+        return 1.0
     norm = math.exp(ln_gamma(m_first))
 
     def integrand(x: float) -> float:
         return reg_gamma_p(m_second, c * lam / x) * x ** (m_first - 1) * math.exp(-x)
 
     tail = integrate_semi_infinite(integrand, lam)
-    return _clip_prob(reg_gamma_p(m_first, lam) + tail / norm)
+    return _clip_prob(head + tail / norm)
 
 
 def outage_tzf(q: OutageQuery) -> float:
@@ -117,6 +140,7 @@ def outage_tzf(q: OutageQuery) -> float:
     return _gamma_min_cdf(p.m_r, p.m_t - 1, q.lam, p.d2**p.tau / p.kappa)
 
 
+@_inf_on_overflow
 def outage_tzf_asymptotic(q: OutageQuery) -> float:
     """High-SNR approximation of the transmit-ZF outage.
 
@@ -133,26 +157,29 @@ def outage_tzf_asymptotic(q: OutageQuery) -> float:
         F ~ lam^m_r/m_r! [Q(m_r, c) + c^m_r/Gamma(m_r)
                           (-ln(lam*c) + 2 psi(1) + 1/m_r - E1(c))].
 
-    For a < m_r the second hop dominates, with decay lam^(m_t-1).
+    For a < m_r the second hop dominates, with decay lam^(m_t-1).  A law
+    past the float range is inf, and the balanced law at a lam that
+    underflows to 0 is 0.
     """
     p = q.params
     check_feasible(Scheme.TZF, p.m_r, p.m_t)
     m_r, a = p.m_r, p.m_t - 1
     lam = q.lam
     c = p.d2**p.tau / p.kappa
-    scale = lam**m_r / math.exp(ln_gamma(m_r + 1))
+    if a < m_r:
+        coeff = math.exp(ln_gamma(m_r - a) - ln_gamma(a + 1) - ln_gamma(m_r))
+        return coeff * c**a * lam**a
 
+    scale = lam**m_r / math.exp(ln_gamma(m_r + 1))
     if a == m_r:
+        if lam == 0.0:  # lam^m_r ln(lam) -> 0, where lam underflows
+            return 0.0
         log_term = (
             -math.log(lam) - math.log(c) + 2.0 * digamma(1.0) + 1.0 / m_r - float(exp1(c))
         )
         return scale * (reg_gamma_q(m_r, c) + c**m_r / math.exp(ln_gamma(m_r)) * log_term)
-    if a > m_r:
-        ratio = math.exp(ln_gamma(a - m_r) - ln_gamma(a))
-        return scale * (reg_gamma_q(a, c) + c**m_r * ratio * reg_gamma_p(a - m_r, c))
-
-    coeff = math.exp(ln_gamma(m_r - a) - ln_gamma(a + 1) - ln_gamma(m_r))
-    return coeff * c**a * lam**a
+    ratio = math.exp(ln_gamma(a - m_r) - ln_gamma(a))
+    return scale * (reg_gamma_q(a, c) + c**m_r * ratio * reg_gamma_p(a - m_r, c))
 
 
 def outage_rzf(q: OutageQuery) -> float:
@@ -171,15 +198,19 @@ def outage_rzf(q: OutageQuery) -> float:
     check_feasible(Scheme.RZF, p.m_r, p.m_t)
     lam = q.lam
     c = p.d2**p.tau / p.kappa
+    unprojected = _gamma_min_cdf(p.m_r, p.m_t, lam, c)
+    if unprojected == 1.0:
+        return 1.0
 
     def integrand_q(x: float) -> float:
         return reg_gamma_q(p.m_t, c * lam / x) * math.exp(-x)
 
     i_q = integrate_semi_infinite(integrand_q, lam)
     projected = lam ** (p.m_r - 1) * i_q / math.exp(ln_gamma(p.m_r))
-    return _clip_prob(_gamma_min_cdf(p.m_r, p.m_t, lam, c) + projected)
+    return _clip_prob(unprojected + projected)
 
 
+@_inf_on_overflow
 def outage_rzf_asymptotic(q: OutageQuery) -> float:
     """High-SNR approximation of the receive-ZF outage.
 
@@ -189,6 +220,7 @@ def outage_rzf_asymptotic(q: OutageQuery) -> float:
     and where c = d2^tau/kappa is large the next-order second-hop term rules
     far past 40 dB: at (m_r, m_t) = (4, 4), d2 = 3, alpha = 0.1 (c = 243) the
     law is 2.37e-5 of the exact ``outage_rzf`` at 40 dB and 0.054 at 80 dB.
+    A law past the float range is inf.
     """
     p = q.params
     check_feasible(Scheme.RZF, p.m_r, p.m_t)

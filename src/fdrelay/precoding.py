@@ -2,10 +2,11 @@
 
 Every design is a batched kernel (leading axis = independent realizations):
 ``_beamformers_batch`` gives the closed-form MRC/MRT, transmit-ZF and
-receive-ZF pairs, ``_optimal_wt_batch`` runs the optimal search, and both
-are scored by the SINR kernel of :mod:`fdrelay.sinr`.  The Monte Carlo
-driver calls the kernels directly; ``mrc_mrt``, ``tzf``, ``rzf`` and
-``optimal`` are their n = 1 wrappers, which add the input checks.
+receive-ZF pairs, ``_optimal_wt_batch`` runs the optimal search on the
+alpha-free arrays of ``_optimal_seed_gains``, and both are scored by the
+SINR kernel of :mod:`fdrelay.sinr`.  The Monte Carlo driver calls the
+kernels directly; ``mrc_mrt``, ``tzf``, ``rzf`` and ``optimal`` are their
+n = 1 wrappers, which add the input checks.
 
 The closed-form schemes are matched filters, optionally projected off the
 loop direction.  The optimal joint design maximizes the end-to-end SINR:
@@ -54,7 +55,7 @@ import numpy as np
 
 from .channel import ChannelRealization, SystemParams
 from .errors import DegenerateChannelError, InfeasibleSchemeError
-from .sinr import _fd_gains_batch, _fd_hops_from_gains
+from .sinr import _fd_hops_from_gains
 
 __all__ = [
     "Scheme",
@@ -159,13 +160,17 @@ def optimal(ch: ChannelRealization, params: SystemParams) -> BeamformingPair:
     """
     hsr, hrd, hrr = _rows(ch)
     wt, _ = _optimal_wt_batch(params, hsr, hrd, hrr)
-    w_r = _combiner_for_wt(params, hsr, hrr, wt)[0]
+    w_r = _combiner(params, hsr, _sq_norms(hsr), _wt_gains(hsr, hrd, hrr, wt))[0]
     return BeamformingPair(w_r, wt[0], Scheme.OPTIMAL)
 
 
 # ---------------------------------------------------------------------------
 # Batched engine (leading axis = independent realizations)
 # ---------------------------------------------------------------------------
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    return np.sum(np.abs(x) ** 2, axis=1)
 
 
 def _normalize_rows(w: np.ndarray) -> np.ndarray:
@@ -187,7 +192,7 @@ def _loop_vanishes(d: np.ndarray, ref: np.ndarray, hrr: np.ndarray) -> np.ndarra
         * np.linalg.norm(ref, axis=1)
         * np.linalg.norm(hrr, axis=(1, 2))
     )
-    return np.sum(np.abs(d) ** 2, axis=1) <= bound**2
+    return _sq_norms(d) <= bound**2
 
 
 def _zero_force(x: np.ndarray, d: np.ndarray, vanished: np.ndarray) -> np.ndarray:
@@ -196,7 +201,7 @@ def _zero_force(x: np.ndarray, d: np.ndarray, vanished: np.ndarray) -> np.ndarra
     ``vanished`` rows have no loop direction to null and keep ``x``, the
     matched filter.
     """
-    d2 = np.maximum(np.sum(np.abs(d) ** 2, axis=1), 1e-300)
+    d2 = np.maximum(_sq_norms(d), 1e-300)
     proj = x - d * (np.einsum("ni,ni->n", np.conj(d), x) / d2)[:, None]
     return np.where(vanished[:, None], x, proj)
 
@@ -227,24 +232,48 @@ def _beamformers_batch(
     raise ValueError(f"{scheme} has no closed-form beamformers")
 
 
-def _combiner_for_wt(
-    params: SystemParams, hsr: np.ndarray, hrr: np.ndarray, wt: np.ndarray
+def _wt_gains(
+    hsr: np.ndarray, hrd: np.ndarray, hrr: np.ndarray, wt: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Alpha-free arrays that fix the hops of ``wt`` under its optimal combiner.
+
+    The beamformer rows w_t, the loop v = H_rr w_t, ||v||^2, v^H h_sr and
+    the relay-destination gain |h_rd w_t|^2.
+    """
+    v = np.einsum("nij,nj->ni", hrr, wt)
+    vh = np.einsum("ni,ni->n", np.conj(v), hsr)
+    return wt, v, _sq_norms(v), vh, np.abs(np.einsum("ni,ni->n", hrd, wt)) ** 2
+
+
+def _combiner(
+    params: SystemParams, hsr: np.ndarray, s: np.ndarray, gains: tuple[np.ndarray, ...]
 ) -> np.ndarray:
-    """Closed-form SINR-optimal combiner for a given transmit beamformer.
+    """Closed-form SINR-optimal combiner for a beamformer's ``_wt_gains``.
 
     Sherman-Morrison applied to the rank-one-plus-identity interference
     covariance: x = h_sr - kt*S*(v^H h_sr)/(1 + kt*S*||v||^2) * v with
-    v = H_rr w_t; the combiner row is x^H / ||x||.
+    S = ``s`` = ||h_sr||^2 and v = H_rr w_t; the combiner row is x^H / ||x||.
     """
-    d1t = params.d1**params.tau
-    kt = params.kappa * params.p_s / d1t
-    s = np.sum(np.abs(hsr) ** 2, axis=1)
-    v = np.einsum("nij,nj->ni", hrr, wt)
-    nv2 = np.sum(np.abs(v) ** 2, axis=1)
-    vh = np.einsum("ni,ni->n", np.conj(v), hsr)
+    _, v, nv2, vh, _ = gains
+    kt = params.kappa * params.p_s / params.d1**params.tau
     coef = kt * s * vh / (1.0 + kt * s * nv2)
     x = hsr - coef[:, None] * v
     return np.conj(_normalize_rows(x))
+
+
+def _hops_from_wt_gains(
+    params: SystemParams, hsr: np.ndarray, s: np.ndarray, gains: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both hops of a beamformer under its optimal combiner, from its gains.
+
+    ``gains`` are its ``_wt_gains`` and ``s`` is S = ||h_sr||^2.
+    """
+    wr = _combiner(params, hsr, s, gains)
+    _, v, _, _, rd = gains
+    sig = np.abs(np.einsum("ni,ni->n", wr, hsr)) ** 2
+    leak = np.abs(np.einsum("ni,ni->n", wr, v)) ** 2
+    first, second, _ = _fd_hops_from_gains(params, s, sig, leak, rd)
+    return first, second
 
 
 def _hops_for_wt(
@@ -255,9 +284,7 @@ def _hops_for_wt(
     wt: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First- and second-hop SINR achieved by ``wt`` with its optimal combiner."""
-    wr = _combiner_for_wt(params, hsr, hrr, wt)
-    first, second, _ = _fd_hops_from_gains(params, *_fd_gains_batch(hsr, hrd, hrr, wr, wt))
-    return first, second
+    return _hops_from_wt_gains(params, hsr, _sq_norms(hsr), _wt_gains(hsr, hrd, hrr, wt))
 
 
 def _top_eig_rank_one(psi: np.ndarray, lam: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -352,9 +379,29 @@ def _wt_at_leakage(
     m_mat = a_vec[:, :, None] * np.conj(a_vec[:, None, :]) - t[:, None, None] * c_mat
     lam, u_basis = np.linalg.eigh(m_mat)
     g = np.einsum("nij,ni->nj", np.conj(u_basis), h_dir)
-    s_target = t / (kt * np.sum(np.abs(hsr) ** 2, axis=1))
+    s_target = t / (kt * _sq_norms(hsr))
     s_target = np.clip(s_target, lam[:, 0], lam[:, -1])
     return _normalize_rows(_constrained_gain_dirs(lam, u_basis, g, s_target))
+
+
+def _optimal_seed_gains(
+    hsr: np.ndarray, hrd: np.ndarray, hrr: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The alpha-free arrays ``_optimal_wt_batch`` holds for its draws.
+
+    S = ||h_sr||^2, the loop direction a = H_rr^H h_sr and the rows where
+    it vanishes, then the ``_wt_gains`` of the matched seed and of the
+    transmit-ZF seed.  Every array has one row per draw.  The seeds are the
+    transmit sides of ``_beamformers_batch``, built from the same ``a``
+    without the combiners it would also make.
+    """
+    a = np.einsum("nij,ni->nj", np.conj(hrr), hsr)
+    vanished = _loop_vanishes(a, hsr, hrr)
+    h = np.conj(hrd)
+    matched, tzf = (
+        _wt_gains(hsr, hrd, hrr, _normalize_rows(wt)) for wt in (h, _zero_force(h, a, vanished))
+    )
+    return _sq_norms(hsr), a, vanished, *matched, *tzf
 
 
 def _optimal_wt_batch(
@@ -362,9 +409,18 @@ def _optimal_wt_batch(
     hsr: np.ndarray,
     hrd: np.ndarray,
     hrr: np.ndarray,
+    *held: np.ndarray,
     resolve_above: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best transmit beamformer and its achieved SINR for each realization.
+
+    ``held`` is ``_optimal_seed_gains`` of the draws (made here when not
+    given).  It is alpha-free, so the Monte Carlo driver makes it once per
+    chunk and reuses it at every alpha probe.  Per call, only the seeds'
+    combiners are solved again at kappa(alpha), from the held vectors and
+    with the arithmetic of ``_hops_for_wt``, so the result is bit for bit
+    that of a search that rebuilds the seeds; the t_mrt bracket end, the
+    leakage probes and their scoring are per call too.
 
     Scores the matched (``t = t_mrt``) and transmit-ZF (``t = 0``) seeds,
     then halves the bracket ``[lo, hi] = [0, t_mrt]`` up to
@@ -379,16 +435,19 @@ def _optimal_wt_batch(
     a realization stops once its incumbent reaches U.  U starts as the
     interference-free first hop c1 S against the matched second hop, and
     first(lo) becomes the transmit-ZF seed's achieved first hop, so a seed
-    that wins on its hop signs ends the search with no leakage probe.  With
-    ``resolve_above`` set (outage estimation), a realization also stops once
-    its outage indicator "SINR < threshold" is decided: when its incumbent
-    clears the threshold or U sits below it.  U comes from achieved
-    candidates, so every stop is exact up to the root-find's residual.
+    that wins on its hop signs ends the search with no leakage probe; the
+    transmit-ZF seed is scored only on the rows the matched one leaves
+    undecided.  With ``resolve_above`` set (outage estimation), a
+    realization also stops once its outage indicator "SINR < threshold" is
+    decided: when its incumbent clears the threshold or U sits below it.  U
+    comes from achieved candidates, so every stop is exact up to the
+    root-find's residual.
     """
     n, m_t = hrd.shape
-    _, matched = _beamformers_batch(Scheme.MRC_MRT, hsr, hrd, hrr)
-    best_wt = matched.copy()
-    first_mrt, second_hi = _hops_for_wt(params, hsr, hrd, hrr, best_wt)
+    s, a, vanished, *seeds = held or _optimal_seed_gains(hsr, hrd, hrr)
+    matched, tzf = seeds[:5], seeds[5:]
+    best_wt = matched[0].copy()
+    first_mrt, second_hi = _hops_from_wt_gains(params, hsr, s, matched)
     best_gamma = np.minimum(first_mrt, second_hi)
 
     if m_t == 1:
@@ -397,8 +456,6 @@ def _optimal_wt_batch(
     # Each realization's bracket [lo, hi] with the achieved first hop at lo
     # and second hop at hi; ``rows`` indexes the realizations still undecided.
     d1t = params.d1**params.tau
-    s = np.sum(np.abs(hsr) ** 2, axis=1)
-    a = np.einsum("nij,ni->nj", np.conj(hrr), hsr)
     first_lo = params.p_s / d1t * s
     lo, hi = np.zeros(n), np.zeros(n)
 
@@ -409,30 +466,27 @@ def _optimal_wt_batch(
             keep &= (best_gamma[rows] < resolve_above) & ~(ceiling < resolve_above)
         return rows[keep]
 
-    def score(rows: np.ndarray, ch: tuple, wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        first, second = _hops_for_wt(params, *ch, wt)
+    def score(rows: np.ndarray, h_sr: np.ndarray, gains: tuple) -> tuple[np.ndarray, np.ndarray]:
+        first, second = _hops_from_wt_gains(params, h_sr, s[rows], gains)
         gamma = np.minimum(first, second)
         better = gamma > best_gamma[rows]
-        best_wt[rows[better]] = wt[better]
+        best_wt[rows[better]] = gains[0][better]
         best_gamma[rows[better]] = gamma[better]
         return first, second
 
     # Without a loop direction the matched combiner picks up no leakage, so
     # the matched beamformer is already optimal: search only the others.
-    rows = undecided(np.flatnonzero(~_loop_vanishes(a, hsr, hrr)))
+    rows = undecided(np.flatnonzero(~vanished))
     if rows.size == 0:
         return best_wt, best_gamma
 
     # The bisection bracket starts as [0, t_mrt], where t_mrt is the matched
     # beamformer's own leakage level, and the transmit-ZF seed (t = 0) is
     # scored at its lower end.
-    ch = hsr[rows], hrd[rows], hrr[rows]
-    v_mrt = np.einsum("nij,nj->ni", ch[2], matched[rows])
-    aw = np.abs(np.einsum("ni,ni->n", np.conj(ch[0]), v_mrt)) ** 2
-    cw = np.sum(np.abs(v_mrt) ** 2, axis=1)
+    _, _, nv2, vh, _ = matched
     kts = params.kappa * params.p_s / d1t * s[rows]
-    hi[rows] = kts * aw / (1.0 + kts * cw)
-    first_lo[rows] = score(rows, ch, _beamformers_batch(Scheme.TZF, *ch)[1])[0]
+    hi[rows] = kts * np.abs(vh[rows]) ** 2 / (1.0 + kts * nv2[rows])
+    first_lo[rows] = score(rows, hsr[rows], tuple(x[rows] for x in tzf))[0]
     rows = undecided(rows)
 
     # The first hop falls and the second does not, so the sign of
@@ -443,9 +497,8 @@ def _optimal_wt_batch(
         ch = hsr[rows], hrd[rows], hrr[rows]
         mid = 0.5 * (lo[rows] + hi[rows])
         c = np.einsum("nij,nik->njk", np.conj(ch[2]), ch[2])
-        first, second = score(
-            rows, ch, _wt_at_leakage(params, ch[0], np.conj(ch[1]), a[rows], c, mid)
-        )
+        wt = _wt_at_leakage(params, ch[0], np.conj(ch[1]), a[rows], c, mid)
+        first, second = score(rows, ch[0], _wt_gains(*ch, wt))
         up = second < first
         lo[rows[up]], first_lo[rows[up]] = mid[up], first[up]
         hi[rows[~up]], second_hi[rows[~up]] = mid[~up], second[~up]

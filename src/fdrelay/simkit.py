@@ -15,8 +15,9 @@ per-realization API there is their n = 1 wrapper, so it computes the same
 numbers one draw at a time.  A chunk is scored in two steps:
 ``_chunk_gains`` reduces its draws to what fixes each SINR at any alpha
 (a closed-form scheme's beamformers do not depend on alpha, so four gains
-per draw), and ``_sinr_from_gains`` evaluates the SINR at the estimate's
-parameters.
+per draw; the optimal search keeps the draws and builds its matched and
+transmit-ZF seeds, whose combiners alone move with alpha), and
+``_sinr_from_gains`` evaluates the SINR at the estimate's parameters.
 
 The harvesting split is optimized by one search (grid plus golden-section
 refinement), written once as ``_alpha_search``.  The kernel
@@ -42,7 +43,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import SystemParams, _draw_channels
-from .precoding import Scheme, _beamformers_batch, _optimal_wt_batch, check_feasible
+from .precoding import (
+    Scheme,
+    _beamformers_batch,
+    _optimal_seed_gains,
+    _optimal_wt_batch,
+    check_feasible,
+)
 from .sinr import _fd_gains_batch, _fd_hops_from_gains, _hd_gains_batch, _hd_snr_from_gains
 
 __all__ = [
@@ -106,14 +113,17 @@ def _chunk_gains(
     """The per-draw quantities that fix each realization's SINR at any alpha.
 
     For a closed-form scheme these are the four gains of its beamformers
-    (``sinr._fd_gains_batch``), for half duplex ||h_sr||^2 and ||h_rd||^2;
-    the optimal combiner moves with kappa(alpha), so its are the draws.
-    Every array has one row per draw.
+    (``sinr._fd_gains_batch``), for half duplex ||h_sr||^2 and ||h_rd||^2.
+    The optimal search solves its beamformers at each kappa(alpha), so its
+    are the draws followed by ``precoding._optimal_seed_gains``: S, the loop
+    direction and where it vanishes, and the matched and transmit-ZF seed
+    beamformers with the vectors that fix their hops.  Every array has one
+    row per draw.
     """
     if scheme is Scheme.HALF_DUPLEX:
         return _hd_gains_batch(hsr, hrd)
     if scheme is Scheme.OPTIMAL:
-        return hsr, hrd, hrr
+        return hsr, hrd, hrr, *_optimal_seed_gains(hsr, hrd, hrr)
     wr, wt = _beamformers_batch(scheme, hsr, hrd, hrr)
     return _fd_gains_batch(hsr, hrd, hrr, wr, wt)
 

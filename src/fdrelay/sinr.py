@@ -6,8 +6,9 @@ and split in two steps: per-draw gains that do not depend on the system
 parameters (``_fd_gains_batch``, ``_hd_gains_batch``), then the formula that
 turns gains into SINR (``_fd_hops_from_gains``, ``_hd_snr_from_gains``), so
 the Monte Carlo engine can score many harvesting splits on gains computed
-once.  The optimal search and the n = 1 wrappers ``e2e_sinr`` and ``hd_snr``
-compose the two steps.
+once.  The n = 1 wrappers ``e2e_sinr`` and ``hd_snr`` compose the two
+steps; the optimal search makes each candidate's gains from its alpha-free
+vectors (``precoding._wt_gains``) and hands them to ``_fd_hops_from_gains``.
 
 The full-duplex expression is evaluated in its general form for every scheme;
 the scheme-specific algebraic reductions live only in the analytic outage

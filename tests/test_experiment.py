@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -391,6 +392,40 @@ class TestOutputsAndCli:
         for row in rows:
             if row["kind"] == "summary":
                 assert float(row["alpha"]) < 0.9995 and float(row["throughput"]) > 0.0
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("axis", ["snr_db", "threshold_db"])
+    def test_cli_outage_far_from_high_snr(self, tmp_path, m, axis):
+        # At -3000 dB of SNR, or +3000 dB of threshold, lam^k in the high-SNR
+        # laws is past the float range: such a law is inf, every draw is in
+        # outage and so is the exact CDF, and the run completes.  At the
+        # other end nothing is in outage.
+        cfg_path = tmp_path / "cfg.json"
+        out_path = tmp_path / "far.csv"
+        cfg = base_config(
+            params=make_params(m, m).to_dict(), schemes=["tzf", "rzf"],
+            sweep={axis: [-3000.0, 3000.0]}, output_path=str(out_path), n_trials=500,
+            outputs=["monte_carlo", "analytic", "asymptotic"],
+        )
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert cli_main(["outage", "--config", str(cfg_path)]) == 0
+        rows = list(csv.DictReader(
+            line for line in out_path.read_text().splitlines() if not line.startswith("#")
+        ))
+        assert len(rows) == 12
+        for row in rows:
+            db = float(row["rho1_db"] if axis == "snr_db" else row["gamma_th_db"])
+            all_out = (db < 0) == (axis == "snr_db")
+            if row["kind"] == "monte_carlo":
+                assert float(row["p_out"]) == float(all_out)
+            elif row["kind"] == "analytic":
+                assert float(row["analytic"]) == pytest.approx(float(all_out), abs=1e-250)
+            else:
+                law = float(row["asymptotic"])
+                if all_out:
+                    assert law >= 1.0 and (m == 2 or law == math.inf)
+                else:
+                    assert 0.0 <= law <= 1e-250
 
 
 CHECK_NAMES = [

@@ -109,6 +109,18 @@ class TestTzfAsymptotic:
             )
         assert ratios[1] == pytest.approx(ratios[0], rel=0.05)
 
+    def test_laws_past_the_float_range(self):
+        # lam = 1e300 puts lam^2 past the float range, so those laws are
+        # inf; lam = 1e-300 / 1e30 underflows to 0, where the balanced
+        # law's -ln(lam) would fail and its limit is 0.
+        for m_r, m_t, p_s, z, law in ((3, 3, 1.0, 1e300, math.inf),
+                                      (2, 4, 1.0, 1e300, math.inf),
+                                      (2, 3, 1.0, 1e300, math.inf),
+                                      (2, 3, 1e30, 1e-300, 0.0)):
+            q = OutageQuery(make_params(m_r, m_t, p_s), z)
+            assert outage_tzf_asymptotic(q) == law, (m_r, m_t)
+        assert outage_rzf_asymptotic(OutageQuery(make_params(3, 3), 1e300)) == math.inf
+
     def test_ratio_to_exact_at_40db(self):
         for m_r, m_t in ((2, 2), (2, 3), (3, 2)):
             params = make_params(m_r, m_t, 1e4)

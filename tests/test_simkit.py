@@ -21,7 +21,7 @@ from fdrelay import (
     throughput,
     tzf,
 )
-from fdrelay import simkit
+from fdrelay import precoding, simkit
 from fdrelay.channel import ChannelRealization
 from fdrelay.errors import InfeasibleSchemeError
 from fdrelay.simkit import (
@@ -33,6 +33,7 @@ from fdrelay.simkit import (
     _sinr_from_gains,
     params_at_alpha,
 )
+from fdrelay.sinr import _fd_gains_batch, _fd_hops_from_gains
 
 from helpers import make_params, reference_sinr
 
@@ -272,6 +273,45 @@ class TestSplitKernel:
                 assert all(np.array_equal(f[:keep], g) for f, g in zip(full, lead))
 
 
+class TestHeldSeeds:
+    """The optimal search's seeds, held once per chunk, score as if rebuilt."""
+
+    def _assert_exact(self, params, hsr, hrd, hrr):
+        gains = _chunk_gains(Scheme.OPTIMAL, hsr, hrd, hrr)
+        assert all(x is y for x, y in zip(gains[:3], (hsr, hrd, hrr)))
+        s, seeds = gains[3], (gains[6:11], gains[11:])
+        for scheme, seed in zip((Scheme.MRC_MRT, Scheme.TZF), seeds):
+            assert np.array_equal(seed[0], precoding._beamformers_batch(scheme, hsr, hrd, hrr)[1])
+            for alpha, mode in TestSplitKernel.SPLITS:
+                p = params_at_alpha(params, alpha, mode)
+                held = precoding._hops_from_wt_gains(p, hsr, s, seed)
+                rebuilt = precoding._hops_for_wt(p, hsr, hrd, hrr, seed[0])
+                wr = precoding._combiner(p, hsr, s, seed)
+                general = _fd_hops_from_gains(p, *_fd_gains_batch(hsr, hrd, hrr, wr, seed[0]))
+                for h, r, g in zip(held, rebuilt, general):
+                    assert np.array_equal(h, r) and np.array_equal(h, g), (scheme, alpha, mode)
+
+    def test_ordinary_draws_and_vanished_loops(self):
+        params = make_params(3, 2, 4.0, sigma2_li=0.2)
+        hsr, hrd, hrr = (x[:64] for x in _chunk_channels(params, 11, 0))
+        hrr = hrr.copy()
+        hrr[:8] = 0.0
+        self._assert_exact(params, hsr, hrd, hrr)
+
+    def test_degenerate_loops(self):
+        params = make_params(3, 2, 4.0, sigma2_li=0.2)
+        scales = 10.0 ** np.arange(-4, 9)
+        for ch in _near_degenerate_channels():
+            hsr = np.repeat(ch.h_sr[None, :], scales.size, axis=0)
+            hrd = np.repeat(ch.h_rd[None, :], scales.size, axis=0)
+            hrr = scales[:, None, None] * ch.h_rr[None, :, :]
+            self._assert_exact(params, hsr, hrd, hrr)
+
+    def test_one_transmit_antenna(self):
+        params = make_params(3, 1, 4.0, sigma2_li=0.2)
+        self._assert_exact(params, *(x[:64] for x in _chunk_channels(params, 11, 0)))
+
+
 class TestThroughput:
     def test_total_outage_gives_zero(self):
         assert throughput(make_params(2, 2), Scheme.TZF, 1.0) == 0.0
@@ -465,25 +505,35 @@ class TestLockstepSearch:
     def test_each_search_computes_beamformers_once_per_chunk(self, monkeypatch):
         # No probe recomputes the closed-form beamformers: each search builds
         # them once for every chunk its trial count reads (the last one cut
-        # to its trials), and half duplex and the optimal search use none.
+        # to its trials), half duplex uses none, and the optimal search
+        # builds its matched and transmit-ZF seeds once per chunk, in
+        # ``_optimal_seed_gains``, and no closed-form beamformers.
         built = Counter()
         original = simkit._beamformers_batch
+        seeds = simkit._optimal_seed_gains
 
         def counted(scheme, hsr, hrd, hrr):
             built[scheme, hsr.shape[0]] += 1
             return original(scheme, hsr, hrd, hrr)
 
-        monkeypatch.setattr(simkit, "_beamformers_batch", counted)
+        def counted_seeds(hsr, hrd, hrr):
+            built[Scheme.OPTIMAL, hsr.shape[0]] += 1
+            return seeds(hsr, hrd, hrr)
+
+        for module in (simkit, precoding):
+            monkeypatch.setattr(module, "_beamformers_batch", counted)
+        monkeypatch.setattr(simkit, "_optimal_seed_gains", counted_seeds)
         params = make_params(2, 2)
         schemes = [Scheme.TZF, Scheme.RZF, Scheme.MRC_MRT, Scheme.HALF_DUPLEX, Scheme.OPTIMAL]
         for threads in (1, 2):
             built.clear()
-            _search_alpha_batch(params, schemes, SHORT_GRID, [9000, 100, 17000, 9000, 50],
+            _search_alpha_batch(params, schemes, SHORT_GRID, [9000, 100, 17000, 9000, 9000],
                                 seed=4, threads=threads)
             assert built == {
                 (Scheme.TZF, _CHUNK): 1, (Scheme.TZF, 9000 - _CHUNK): 1,
                 (Scheme.RZF, 100): 1,
                 (Scheme.MRC_MRT, _CHUNK): 2, (Scheme.MRC_MRT, 17000 - 2 * _CHUNK): 1,
+                (Scheme.OPTIMAL, _CHUNK): 1, (Scheme.OPTIMAL, 9000 - _CHUNK): 1,
             }
 
     def test_optimal_result_does_not_depend_on_its_place(self):
