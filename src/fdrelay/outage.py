@@ -112,8 +112,12 @@ def _gamma_min_cdf(m_first: int, m_second: int, lam: float, c: float) -> float:
     whose terms are all small and positive at high SNR; the survival form
     1 - int Q(...) would lose the tiny outage to cancellation.  Where
     P(m_first, lam) rounds to 1 no tail can change F, so it is not
-    integrated (far from high SNR its integrand is 0 * inf).
+    integrated (far from high SNR its integrand is 0 * inf).  Where lam
+    underflows to 0, F is the CDF at 0, which is 0 (the integrand would
+    start at 0 / 0).
     """
+    if lam == 0.0:
+        return 0.0
     head = reg_gamma_p(m_first, lam)
     if head == 1.0:
         return 1.0
@@ -199,8 +203,8 @@ def outage_rzf(q: OutageQuery) -> float:
     lam = q.lam
     c = p.d2**p.tau / p.kappa
     unprojected = _gamma_min_cdf(p.m_r, p.m_t, lam, c)
-    if unprojected == 1.0:
-        return 1.0
+    if unprojected == 1.0 or lam == 0.0:
+        return unprojected
 
     def integrand_q(x: float) -> float:
         return reg_gamma_q(p.m_t, c * lam / x) * math.exp(-x)

@@ -18,6 +18,18 @@ numbers one draw at a time.  A chunk is scored in two steps:
 per draw; the optimal search keeps the draws and builds its matched and
 transmit-ZF seeds, whose combiners alone move with alpha), and
 ``_sinr_from_gains`` evaluates the SINR at the estimate's parameters.
+``_trial_gains`` reduces the trials of a chunk's draws that an estimate
+reads, and ``_leading`` is the one rule for which rows of a chunk those are.
+
+An outage sweep over SNR or threshold varies nothing a draw or its gains
+depend on, so it draws and reduces each scheme's trials once per sweep:
+``_held_gains`` builds the scheme's gains on ``threads`` workers, each
+drawing its own chunks, and every sweep point is ``estimate_outage`` on
+them.  One scheme's gains are held at a time, for all of its trials, so
+the held memory grows linearly with the trial count: 32 B per trial for a
+full-duplex closed-form scheme, 16 B for half duplex, while the optimal
+scheme's gains are its draws plus its two seeds (361 B per trial at 2x2,
+777 B at 4x4).
 
 The harvesting split is optimized by one search (grid plus golden-section
 refinement), written once as ``_alpha_search``.  The kernel
@@ -39,6 +51,7 @@ import numbers
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import TypeVar
 
 import numpy as np
 
@@ -62,6 +75,8 @@ __all__ = [
 ]
 
 _CHUNK = 8192
+
+_T = TypeVar("_T")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_ITERS = 20  # golden-section probes after the first two
@@ -128,6 +143,48 @@ def _chunk_gains(
     return _fd_gains_batch(hsr, hrd, hrr, wr, wt)
 
 
+def _leading(
+    arrays: Sequence[np.ndarray], n_trials: int, chunk_idx: int
+) -> tuple[np.ndarray, ...]:
+    """The rows of chunk ``chunk_idx``'s ``arrays`` that hold trials 0 .. n_trials - 1."""
+    return tuple(x[:n_trials - chunk_idx * _CHUNK] for x in arrays)
+
+
+def _trial_gains(
+    scheme: Scheme, draws: Sequence[np.ndarray], n_trials: int, chunk_idx: int
+) -> tuple[np.ndarray, ...]:
+    """``_chunk_gains`` of the trials below ``n_trials`` in chunk ``chunk_idx``'s ``draws``."""
+    return _chunk_gains(scheme, *_leading(draws, n_trials, chunk_idx))
+
+
+def _held_gains(
+    params: SystemParams, scheme: Scheme, n_trials: int, seed: int, *, threads: int
+) -> list[tuple[np.ndarray, ...]]:
+    """``_trial_gains`` of every chunk of trials 0 .. n_trials - 1 of ``seed``.
+
+    The list is the ``gains`` of ``estimate_outage``: a sweep builds it once
+    per scheme and scores each of its points on it.  ``threads`` workers
+    each draw and reduce their own chunks.  It grows linearly with
+    ``n_trials``: 32 B per trial for a full-duplex closed-form scheme, 16 B
+    for half duplex, and for the optimal scheme its draws and seeds (361 B
+    per trial at 2x2, 777 B at 4x4).
+    """
+    return _map_chunks(
+        lambda chunk_idx: _trial_gains(
+            scheme, _chunk_channels(params, seed, chunk_idx), n_trials, chunk_idx
+        ),
+        -(-n_trials // _CHUNK), threads,
+    )
+
+
+def _map_chunks(work: Callable[[int], _T], n_chunks: int, threads: int) -> list[_T]:
+    """``work`` of chunks 0 .. n_chunks - 1 in order, split over ``threads`` workers."""
+    if threads > 1 and n_chunks > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, range(n_chunks)))
+    return list(map(work, range(n_chunks)))
+
+
 def _sinr_from_gains(
     params: SystemParams, scheme: Scheme, gains: tuple[np.ndarray, ...]
 ) -> np.ndarray:
@@ -172,11 +229,13 @@ def estimate_outage(
 
     Scores trials 0 .. n_trials - 1 of ``seed`` (an integer >= 0), as every
     estimate with that seed does, and is deterministic for any thread count.
-    Each worker draws the chunks it scores and turns their leading trials
-    into ``_chunk_gains``; ``gains`` instead hands over gains already made:
+    Each worker draws the chunks it scores and turns them into gains with
+    ``_trial_gains``; ``gains`` instead hands over gains already made:
     ``_chunk_gains`` of this scheme for chunks 0, 1, ... of ``seed``, at
     least enough for ``n_trials``, whose leading rows are scored, so the
-    estimate is exactly the one it would draw itself.
+    estimate is exactly the one it would draw itself.  An outage sweep
+    passes gains built once per scheme and an alpha search gains built once
+    per search, so neither draws a chunk again for each point or probe.
     """
     _check_integer("n_trials", n_trials, 1)
     _check_integer("threads", threads, 1)
@@ -189,21 +248,15 @@ def estimate_outage(
         )
 
     def count_chunk(chunk_idx: int) -> int:
-        keep = min(_CHUNK, n_trials - chunk_idx * _CHUNK)
         if gains is None:
             draws = _chunk_channels(params, seed, chunk_idx)
-            chunk = _chunk_gains(scheme, *(x[:keep] for x in draws))
+            chunk = _trial_gains(scheme, draws, n_trials, chunk_idx)
         else:
-            chunk = tuple(x[:keep] for x in gains[chunk_idx])
+            chunk = _leading(gains[chunk_idx], n_trials, chunk_idx)
         gamma = _sinr_from_gains(params, scheme, chunk)
         return int(np.count_nonzero(gamma < params.gamma_th))
 
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            failures = sum(pool.map(count_chunk, range(n_chunks)))
-    else:
-        failures = sum(map(count_chunk, range(n_chunks)))
-
+    failures = sum(_map_chunks(count_chunk, n_chunks, threads))
     p_hat = failures / n_trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / n_trials)
     return OutageEstimate(p_hat=p_hat, std_err=std_err, n_trials=n_trials, seed=seed)
@@ -343,7 +396,7 @@ def _search_alpha_batch(
     def search(i: int) -> AlphaSearch:
         scheme, n_trials = schemes[i], trials[i]
         gains = [
-            _chunk_gains(scheme, *(x[:n_trials - j * _CHUNK] for x in chunks[j]))
+            _trial_gains(scheme, chunks[j], n_trials, j)
             for j in range(-(-n_trials // _CHUNK))
         ]
         return _alpha_search(lambda alpha: _eval_point(

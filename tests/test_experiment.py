@@ -3,15 +3,20 @@
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fdrelay import simkit
 from fdrelay.cli import main as cli_main
 from fdrelay.errors import ConfigError
 from fdrelay.experiment import (
     ExperimentConfig,
+    _fig1_params,
+    _mc_vs_exact,
+    _mrc_floor,
     run_outage_sweep,
     run_throughput_sweep,
     run_validation,
@@ -186,19 +191,84 @@ class TestOutageSweep:
             assert len(p_out) == 7 and p_out == sorted(p_out), scheme
 
     def test_each_mc_row_is_the_plain_estimate(self):
-        snrs = [0.0, 10.0]
-        cfg = base_config(
-            schemes=["optimal", "tzf", "mrc_mrt", "half_duplex"],
-            sweep={"snr_db": snrs}, n_trials=3000, outputs=["monte_carlo"],
-        )
-        rows = run_outage_sweep(cfg).rows
-        want = []
-        for scheme in cfg.schemes:
-            for snr_db in snrs:
-                p = replace(cfg.params, p_s=10.0 ** (snr_db / 10.0))
-                est = estimate_outage(p, scheme, cfg.trials_for(scheme), cfg.seed)
-                want.append((est.p_hat, est.std_err))
-        assert [(r["p_out"], r["std_err"]) for r in rows] == want
+        # The sweep scores every point on one build of each scheme's gains;
+        # each row must still be the estimate drawn on its own.  At (2, 2)
+        # transmit ZF is feasible and the optimal search holds both seeds;
+        # at (2, 1) transmit ZF is infeasible, and the optimal scheme has its
+        # own count.
+        cases = [
+            (2, 2, ["optimal", "tzf", "mrc_mrt", "half_duplex"], "snr_db", [0.0, 10.0],
+             {"n_trials": 3000}),
+        ]
+        cases += [
+            (2, 1, ["optimal", "tzf", "rzf", "mrc_mrt", "half_duplex"], axis, values,
+             {"n_trials": 9000, "n_trials_optimal": 2000})
+            for axis, values in (("snr_db", [0.0, 10.0]), ("threshold_db", [-3.0, 0.0, 3.0]))
+        ]
+        for m_r, m_t, schemes, axis, values, trials in cases:
+            cfg = base_config(
+                params=make_params(m_r, m_t).to_dict(), schemes=schemes,
+                sweep={axis: values}, outputs=["monte_carlo"], **trials,
+            )
+            rows = run_outage_sweep(cfg).rows
+            want = []
+            for scheme in cfg.schemes:
+                for db in values:
+                    if scheme is Scheme.TZF and m_t < 2:
+                        want.append((None, None, "infeasible"))
+                        continue
+                    linear = 10.0 ** (db / 10.0)
+                    p = replace(cfg.params, **{
+                        "p_s" if axis == "snr_db" else "gamma_th": linear})
+                    est = estimate_outage(p, scheme, cfg.trials_for(scheme), cfg.seed)
+                    want.append((est.p_hat, est.std_err, "ok"))
+            assert [(r.get("p_out"), r.get("std_err"), r["status"]) for r in rows] == want
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("axis", ["snr_db", "threshold_db"])
+    def test_each_chunk_is_drawn_once_per_scheme(self, monkeypatch, threads, axis):
+        # However many points a sweep has, each feasible scheme draws the
+        # chunks of its trial count once: 9000 trials read chunks 0 and 1,
+        # the optimal scheme's 2000 read chunk 0, and transmit ZF is
+        # infeasible at (2, 1).  Analytic lines draw nothing.
+        draws = Counter()
+        original = simkit._chunk_channels
+
+        def counted(params, seed, chunk_idx):
+            draws[chunk_idx] += 1
+            return original(params, seed, chunk_idx)
+
+        monkeypatch.setattr(simkit, "_chunk_channels", counted)
+        for values in ([6.0], [-3.0, 0.0, 3.0]):
+            for outputs, want in ((["monte_carlo", "analytic"], {0: 4, 1: 3}),
+                                  (["analytic", "asymptotic"], {})):
+                draws.clear()
+                run_outage_sweep(base_config(
+                    params=make_params(2, 1).to_dict(),
+                    schemes=["optimal", "tzf", "rzf", "mrc_mrt", "half_duplex"],
+                    sweep={axis: values}, n_trials=9000, n_trials_optimal=2000,
+                    outputs=outputs, threads=threads,
+                ))
+                assert draws == want
+
+
+class TestCheckTable:
+    def test_mc_vs_exact_estimates_are_the_plain_estimates(self):
+        schemes = {"tzf": Scheme.TZF, "rzf": Scheme.RZF, "mrc_mrt": Scheme.MRC_MRT,
+                   "hd": Scheme.HALF_DUPLEX}
+        rows = _mc_vs_exact([(2, 2), (2, 1)], (0.0, 10.0), 9000, seed=5, threads=2)
+        assert len(rows) == 2 * 4 + 2 * 3  # transmit ZF is infeasible at (2, 1)
+        for label, m_r, m_t, snr_db, _, est in rows:
+            p = _fig1_params(m_r, m_t, 10.0 ** (snr_db / 10.0))
+            assert est == estimate_outage(p, schemes[label], 9000, 5)
+
+    def test_mrc_floor_estimates_are_the_plain_estimates(self):
+        want = [
+            estimate_outage(_fig1_params(3, 3, p_s), scheme, 9000, 5)
+            for scheme in (Scheme.MRC_MRT, Scheme.TZF)
+            for p_s in (1e4, 1e5)
+        ]
+        assert _mrc_floor(9000, seed=5, threads=2) == want
 
 
 class TestThroughputSweep:

@@ -1,6 +1,7 @@
 """Analytic outage CDFs: limits, Monte Carlo agreement, asymptotic laws."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,17 @@ class TestLimitsAndDomains:
     def test_lambda_group(self):
         p = make_params(2, 2, 20.0, d1=2.0, tau=3.0)
         assert q_at(p, 1.5).lam == pytest.approx(2.0**3 * 1.5 / 20.0, rel=1e-12)
+
+    def test_threshold_whose_lambda_underflows(self):
+        # lam = d1^tau z / rho1 rounds to 0, so each CDF is its value at 0,
+        # with no 0 / 0 in a tail integrand.
+        q = OutageQuery(make_params(2, 3, 1e30), 1e-300)
+        assert q.lam == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outage_tzf(q) == 0.0
+            assert outage_rzf(q) == 0.0
+            assert outage_hd(q) == 0.0
 
     def test_monotone_cdfs(self):
         cases = [
