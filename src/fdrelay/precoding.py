@@ -41,9 +41,13 @@ it.  So the min of the two peaks where they cross, or at an end of that
 range, and the two ends are the transmit-ZF (``t = 0``) and matched
 (``t = t_mrt``) beamformers.  The search scores both ends; a nonpositive
 ``second - first`` at the matched end or a nonnegative one at the
-transmit-ZF end makes that end optimal, and otherwise it bisects on the
-sign.  Every candidate is scored by its exactly achieved end-to-end SINR,
-so search imprecision can only cost optimality, never feasibility.
+transmit-ZF end makes that end optimal.  Otherwise it finds the crossing
+with safeguarded Newton steps on the gap ``g = second - first``: by the
+envelope theorem the inner problem's multiplier gives the slope of the best
+second hop in ``t`` at no extra solve, and a step that leaves the bracket
+of sign changes bisects it instead.  Every candidate is scored by its
+exactly achieved end-to-end SINR, so search imprecision can only cost
+optimality, never feasibility.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ __all__ = [
 ]
 
 _DEGENERATE_NORM = 1e-14
-_CROSSING_STEPS = 34  # halvings of the leakage bracket [0, t_mrt]
 
 
 class Scheme(enum.Enum):
@@ -321,42 +324,43 @@ def _constrained_gain_dirs(
     covariance, under the weights |w|^2, of lam and -d'/d, and -d_i'/d_i
     increases with lam_i.  So a safeguarded Newton root-find on that fixed
     bracket takes the Newton step when it stays inside the bracket and
-    bisects otherwise.  A row stops moving once it meets the residual, so
-    each row takes the steps it would take alone, whatever else shares its
-    batch.
+    bisects otherwise.  A row stops once it meets the residual, and each
+    step probes only the rows still moving, so each row takes the steps it
+    would take alone, whatever else shares its batch.
     """
     span = np.maximum(np.abs(s_target), np.maximum(np.abs(lam).max(axis=1), 1e-30))
     shift = lam - lam[:, :1]
     lo = np.zeros(lam.shape[0])
     hi = np.pi - np.arctan(shift[:, -1])
 
-    def probe(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        w = _top_eig_rank_one(psi, lam, g)
+    def probe(psi: np.ndarray, rows: np.ndarray | slice) -> tuple[np.ndarray, ...]:
+        lam_r, shift_r = lam[rows], shift[rows]
+        w = _top_eig_rank_one(psi, lam_r, g[rows])
         p = np.abs(w) ** 2
-        c = np.sum(lam * p, axis=1)
+        c = np.sum(lam_r * p, axis=1)
         sin, cos = np.sin(psi)[:, None], np.cos(psi)[:, None]
-        rate = (shift * sin - cos) / (sin + shift * cos)  # -d'/d
-        return w, c, 2.0 * np.sum((lam - c[:, None]) * p * rate, axis=1)
+        rate = (shift_r * sin - cos) / (sin + shift_r * cos)  # -d'/d
+        return w, c, 2.0 * np.sum((lam_r - c[:, None]) * p * rate, axis=1)
 
     # psi = pi/2 is mu = 0, the matched direction g itself; below the
-    # matched beamformer's own leakage the root lies beneath it.
+    # matched beamformer's own leakage the root lies beneath it.  ``live``
+    # indexes the rows that have not met the residual yet.
     psi = np.full(lam.shape[0], 0.5 * np.pi)
-    w, c, slope = probe(psi)
+    w, c, slope = probe(psi, slice(None))
+    live = np.arange(lam.shape[0])
     for _ in range(40):
-        below = c < s_target
-        lo = np.where(below, psi, lo)
-        hi = np.where(below, hi, psi)
-        moving = ~(np.abs(c - s_target) <= 1e-12 * span)
-        if not moving.any():
+        miss = c[live] - s_target[live]
+        below = miss < 0.0
+        lo[live[below]], hi[live[~below]] = psi[live[below]], psi[live[~below]]
+        moving = ~(np.abs(miss) <= 1e-12 * span[live])
+        live, miss = live[moving], miss[moving]
+        if live.size == 0:
             break
         with np.errstate(all="ignore"):  # a flat or NaN slope bisects
-            newton = psi - (c - s_target) / slope
-        step = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
-        w_step, c_step, slope_step = probe(step)
-        psi = np.where(moving, step, psi)
-        w = np.where(moving[:, None], w_step, w)
-        c = np.where(moving, c_step, c)
-        slope = np.where(moving, slope_step, slope)
+            newton = psi[live] - miss / slope[live]
+        lo_r, hi_r = lo[live], hi[live]
+        psi[live] = np.where((newton > lo_r) & (newton < hi_r), newton, 0.5 * (lo_r + hi_r))
+        w[live], c[live], slope[live] = probe(psi[live], live)
     return np.einsum("nij,nj->ni", u_basis, w)
 
 
@@ -382,6 +386,42 @@ def _wt_at_leakage(
     s_target = t / (kt * _sq_norms(hsr))
     s_target = np.clip(s_target, lam[:, 0], lam[:, -1])
     return _normalize_rows(_constrained_gain_dirs(lam, u_basis, g, s_target))
+
+
+def _gap_slope(
+    params: SystemParams,
+    s: np.ndarray,
+    h_dir: np.ndarray,
+    a_vec: np.ndarray,
+    c_mat: np.ndarray,
+    t: np.ndarray,
+    wt: np.ndarray,
+) -> np.ndarray:
+    """Slope g'(t) of the hop gap g = second - first at leakage probes ``wt``.
+
+    ``wt`` are the beamformers :func:`_wt_at_leakage` returned for the
+    levels ``t`` and ``s`` is S = ||h_sr||^2.  The first hop is c1 (S - t),
+    and the second is c3 S V(t), where V(t) is the best gain |h_rd w|^2 at
+    leakage t.  By the envelope theorem V'(t) is the derivative of the
+    Lagrangian in t at the solution: dV/dt = -mu (w^H C w + 1 / (kt S)),
+    where mu is the multiplier of the leakage constraint.  Stationarity
+    h (h^H w) + mu M w = theta w with M = a a^H - t C and h = ``h_dir``
+    fixes mu from the component of M w orthogonal to w:
+    mu = -(P M w)^H h (h^H w) / ||P M w||^2 with P = I - w w^H.  So
+    g'(t) = c1 - c3 S mu (w^H C w + 1 / (kt S)), with c1 = p_s / d1^tau,
+    kt = kappa c1 and c3 = kt / d2^tau.  Where M w is parallel to w the
+    slope is NaN or infinite and the search bisects.
+    """
+    c1 = params.p_s / params.d1**params.tau
+    kt = params.kappa * c1
+    cw = np.einsum("nij,nj->ni", c_mat, wt)
+    mw = a_vec * np.einsum("ni,ni->n", np.conj(a_vec), wt)[:, None] - t[:, None] * cw
+    pmw = mw - wt * np.einsum("ni,ni->n", np.conj(wt), mw)[:, None]
+    hw = np.einsum("ni,ni->n", np.conj(h_dir), wt)
+    wcw = np.einsum("ni,ni->n", np.conj(wt), cw).real
+    with np.errstate(all="ignore"):
+        mu = -(np.einsum("ni,ni->n", np.conj(pmw), h_dir) * hw).real / _sq_norms(pmw)
+        return c1 - kt / params.d2**params.tau * s * mu * (wcw + 1.0 / (kt * s))
 
 
 def _optimal_seed_gains(
@@ -423,11 +463,19 @@ def _optimal_wt_batch(
     leakage probes and their scoring are per call too.
 
     Scores the matched (``t = t_mrt``) and transmit-ZF (``t = 0``) seeds,
-    then halves the bracket ``[lo, hi] = [0, t_mrt]`` up to
-    ``_CROSSING_STEPS`` times toward the crossing of the first hop
-    ``c1 (S - t)`` with the nondecreasing second hop.  Since min(first,
-    second) peaks at that crossing or at a seed, the bisection is exact up
-    to the final bracket width, and the best candidate seen is kept.
+    then walks each row toward the crossing of the first hop ``c1 (S - t)``
+    with the nondecreasing second hop inside the bracket ``[lo, hi] = [0,
+    t_mrt]``.  Every probe moves ``lo`` or ``hi`` on the sign of the gap
+    g = second - first, and the next probe is a Newton step on g from the
+    last one, with the slope of :func:`_gap_slope`, when it lands strictly
+    inside the bracket, and the bracket midpoint otherwise.  The step is
+    taken in u = sqrt(t): near t = 0 the second hop grows like sqrt(t),
+    which sends a Newton step in t from above the crossing below 0, while g
+    is smooth in u.  A row stops after scoring a step of at most 2^-34
+    t_mrt, the bracket width at which a bisection of 34 halvings ends, or
+    when its Newton step rounds to nothing.  Since min(first, second) peaks
+    at that crossing or at a seed, the best candidate seen is kept.  Each
+    row takes the steps it would take alone, whatever else shares its batch.
 
     No beamformer beats the bracket ceiling U = min(first(lo), second(hi)):
     for t < lo, f <= second(t) <= second(lo) < first(lo); on [lo, hi], f <=
@@ -480,7 +528,7 @@ def _optimal_wt_batch(
     if rows.size == 0:
         return best_wt, best_gamma
 
-    # The bisection bracket starts as [0, t_mrt], where t_mrt is the matched
+    # The bracket starts as [0, t_mrt], where t_mrt is the matched
     # beamformer's own leakage level, and the transmit-ZF seed (t = 0) is
     # scored at its lower end.
     _, _, nv2, vh, _ = matched
@@ -489,19 +537,36 @@ def _optimal_wt_batch(
     first_lo[rows] = score(rows, hsr[rows], tuple(x[rows] for x in tzf))[0]
     rows = undecided(rows)
 
-    # The first hop falls and the second does not, so the sign of
-    # second - first locates their crossing.
-    for _ in range(_CROSSING_STEPS):
+    # g = second - first rises through the crossing.  Each row starts at the
+    # matched end, where mu = 0 and so g' = c1, and takes Newton steps on g
+    # as a function of u = sqrt(t): with q = g / g', u - q / (2u) squares to
+    # t - q + q^2 / (4t), and it is positive while q < 2t.
+    t, gap, slope = hi.copy(), second_hi - first_mrt, np.full(n, params.p_s / d1t)
+    tol = 2.0**-34 * hi
+    while rows.size:
+        with np.errstate(all="ignore"):  # a flat or NaN slope bisects
+            q = gap[rows] / slope[rows]
+            newton = t[rows] - q + q * q / (4.0 * t[rows])
+        # A Newton step that rounds to nothing leaves a row at its crossing.
+        keep = newton != t[rows]
+        rows, q, newton = rows[keep], q[keep], newton[keep]
         if rows.size == 0:
             break
+        t_r, lo_r, hi_r = t[rows], lo[rows], hi[rows]
+        inside = (q < 2.0 * t_r) & (newton > lo_r) & (newton < hi_r)
+        step = np.where(inside, newton, 0.5 * (lo_r + hi_r))
+        # The point a step of at most tol lands on is scored, then the row stops.
+        moving = np.abs(step - t_r) > tol[rows]
         ch = hsr[rows], hrd[rows], hrr[rows]
-        mid = 0.5 * (lo[rows] + hi[rows])
+        h_dir, a_r = np.conj(ch[1]), a[rows]
         c = np.einsum("nij,nik->njk", np.conj(ch[2]), ch[2])
-        wt = _wt_at_leakage(params, ch[0], np.conj(ch[1]), a[rows], c, mid)
+        wt = _wt_at_leakage(params, ch[0], h_dir, a_r, c, step)
         first, second = score(rows, ch[0], _wt_gains(*ch, wt))
+        t[rows], gap[rows] = step, second - first
+        slope[rows] = _gap_slope(params, s[rows], h_dir, a_r, c, step, wt)
         up = second < first
-        lo[rows[up]], first_lo[rows[up]] = mid[up], first[up]
-        hi[rows[~up]], second_hi[rows[~up]] = mid[~up], second[~up]
-        rows = undecided(rows)
+        lo[rows[up]], first_lo[rows[up]] = step[up], first[up]
+        hi[rows[~up]], second_hi[rows[~up]] = step[~up], second[~up]
+        rows = undecided(rows[moving])
 
     return best_wt, best_gamma

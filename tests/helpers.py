@@ -177,3 +177,49 @@ def ascent_best_sinr(
         else:
             break
     return best
+
+
+def leakage_range(
+    params: SystemParams, hsr: np.ndarray, hrd: np.ndarray, hrr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The loop direction a = H_rr^H h_sr, C = H_rr^H H_rr and t_mrt per draw.
+
+    t_mrt = kt S |a^H m|^2 / (1 + kt S m^H C m) is the leakage level of the
+    matched beamformer m, the top of the optimal search's leakage range.
+    """
+    kts = params.kappa * params.p_s / params.d1**params.tau * np.sum(np.abs(hsr) ** 2, axis=1)
+    a = np.einsum("nij,ni->nj", np.conj(hrr), hsr)
+    c = np.einsum("nij,nik->njk", np.conj(hrr), hrr)
+    matched = np.conj(hrd) / np.linalg.norm(hrd, axis=1, keepdims=True)
+    aw = np.abs(np.einsum("ni,ni->n", np.conj(a), matched)) ** 2
+    cw = np.einsum("ni,nij,nj->n", np.conj(matched), c, matched).real
+    return a, c, kts * aw / (1.0 + kts * cw)
+
+
+def bisection_best_sinr(
+    params: SystemParams, hsr: np.ndarray, hrd: np.ndarray, hrr: np.ndarray
+) -> np.ndarray:
+    """Reference crossing search: the two seeds, then 34 bisection steps.
+
+    Test-only oracle for the optimal search on batched draws (m_t >= 2, a
+    loop on every row).  It scores the matched and transmit-ZF beamformers,
+    then halves the leakage bracket [0, t_mrt] 34 times on the sign of
+    second - first, probing every row at every halving with no pruning and
+    no early stop, and returns the best min(first, second) seen.  It shares
+    the inner solve at a leakage level with the library, but not the
+    search loop.
+    """
+    from fdrelay.precoding import _beamformers_batch, _hops_for_wt, _wt_at_leakage
+
+    seeds = [_beamformers_batch(s, hsr, hrd, hrr)[1] for s in (Scheme.MRC_MRT, Scheme.TZF)]
+    best = np.max([np.minimum(*_hops_for_wt(params, hsr, hrd, hrr, wt)) for wt in seeds], axis=0)
+    a, c, t_mrt = leakage_range(params, hsr, hrd, hrr)
+    lo, hi = np.zeros_like(t_mrt), t_mrt
+    for _ in range(34):
+        mid = 0.5 * (lo + hi)
+        wt = _wt_at_leakage(params, hsr, np.conj(hrd), a, c, mid)
+        first, second = _hops_for_wt(params, hsr, hrd, hrr, wt)
+        best = np.fmax(best, np.minimum(first, second))
+        up = second < first
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return best

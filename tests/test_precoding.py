@@ -1,5 +1,7 @@
 """Beamformer properties: matched gains, zero-forcing residuals, optimality."""
 
+import collections
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -18,7 +20,10 @@ from fdrelay.errors import DegenerateChannelError, InfeasibleSchemeError
 from fdrelay.precoding import BeamformingPair, _optimal_wt_batch
 from fdrelay.simkit import _chunk_channels
 
-from helpers import ascent_best_sinr, four_antenna_params, make_params
+from helpers import ascent_best_sinr, bisection_best_sinr, four_antenna_params, make_params
+
+# A step on a flat or NaN slope must stay inside the search's errstate.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _random_channels(params, n, seed):
@@ -273,20 +278,62 @@ class TestOptimal:
             g_oracle = ascent_best_sinr(ch, params, restarts=100, rng=rng)
             assert g_sdr == pytest.approx(g_oracle, rel=1e-4)
 
+    @pytest.mark.parametrize("params", [
+        four_antenna_params(), make_params(2, 3, 1e3, sigma2_li=0.3),
+    ], ids=["benchmark_4x4", "tzf_wins_mostly"])
+    def test_newton_crossing_keeps_up_with_a_34_step_bisection(self, monkeypatch, params):
+        # On every draw that no seed decides, the Newton search scores within
+        # 2e-9 of a plain 34-step bisection, and no draw makes more than 16
+        # leakage probes.
+        from fdrelay import precoding
+
+        draws = [np.concatenate(x) for x in zip(*(_chunk_channels(params, 5, k) for k in (0, 1)))]
+        seeds = [precoding._beamformers_batch(s, *draws)[1] for s in (Scheme.MRC_MRT, Scheme.TZF)]
+        (f_mrt, s_mrt), (f_tzf, s_tzf) = (
+            precoding._hops_for_wt(params, *draws, wt) for wt in seeds
+        )
+        rows = np.flatnonzero(~((s_mrt <= f_mrt) | (s_tzf >= f_tzf)))[:1200]
+        assert rows.size >= 1000
+        hsr, hrd, hrr = (x[rows] for x in draws)
+        probes = collections.Counter()
+        solve = precoding._wt_at_leakage
+
+        def counting(params, hsr, *rest):
+            probes.update(row.tobytes() for row in hsr)
+            return solve(params, hsr, *rest)
+
+        monkeypatch.setattr(precoding, "_wt_at_leakage", counting)
+        _, gamma = _optimal_wt_batch(params, hsr, hrd, hrr)
+        per_row = np.array([probes[row.tobytes()] for row in hsr])
+        assert per_row.min() >= 1 and per_row.max() <= 16
+        reference = bisection_best_sinr(params, hsr, hrd, hrr)
+        assert np.all(gamma >= reference * (1.0 - 2e-9))
+
     @pytest.mark.parametrize("resolve_above", [None, 3.0])
     def test_non_finite_candidates_never_replace_matched(self, monkeypatch, resolve_above):
         # A NaN candidate loses every "better than the incumbent" test, so the
         # search returns what its matched and transmit-ZF seeds alone give.
+        # The transmit-ZF seed is scored only on rows the matched one leaves
+        # undecided: it does not win on its hop signs and, for an outage
+        # estimate, neither its SINR nor the ceiling min(c1 S, second) has
+        # settled the indicator.
         from fdrelay import precoding
 
         params = four_antenna_params()
         hsr, hrd, hrr = _chunk_channels(params, 5, 0)
         hsr, hrd, hrr = hsr[:200], hrd[:200], hrr[:200]
-        with monkeypatch.context() as seeds_only:
-            seeds_only.setattr(precoding, "_CROSSING_STEPS", 0)
-            wt_seeds, g_seeds = _optimal_wt_batch(
-                params, hsr, hrd, hrr, resolve_above=resolve_above
-            )
+        _, matched = precoding._beamformers_batch(Scheme.MRC_MRT, hsr, hrd, hrr)
+        _, tzf_wt = precoding._beamformers_batch(Scheme.TZF, hsr, hrd, hrr)
+        f_mrt, s_mrt = precoding._hops_for_wt(params, hsr, hrd, hrr, matched)
+        g_mrt = np.minimum(f_mrt, s_mrt)
+        g_tzf = np.minimum(*precoding._hops_for_wt(params, hsr, hrd, hrr, tzf_wt))
+        scored = s_mrt > f_mrt
+        if resolve_above is not None:
+            c1s = params.p_s / params.d1**params.tau * np.sum(np.abs(hsr) ** 2, axis=1)
+            scored &= (g_mrt < resolve_above) & (np.minimum(c1s, s_mrt) >= resolve_above)
+        tzf_better = scored & (g_tzf > g_mrt)
+        wt_seeds = np.where(tzf_better[:, None], tzf_wt, matched)
+        g_seeds = np.where(tzf_better, g_tzf, g_mrt)
         calls = []
 
         def nan_rows(params, hsr, h_dir, a_vec, c_mat, t):
@@ -296,7 +343,6 @@ class TestOptimal:
         monkeypatch.setattr(precoding, "_wt_at_leakage", nan_rows)
         with np.errstate(invalid="ignore"):
             wt, gamma = _optimal_wt_batch(params, hsr, hrd, hrr, resolve_above=resolve_above)
-        _, matched = precoding._beamformers_batch(Scheme.MRC_MRT, hsr, hrd, hrr)
         assert calls and calls[0] > 0
         assert not np.array_equal(wt_seeds, matched)
         assert np.array_equal(wt, wt_seeds)

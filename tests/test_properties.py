@@ -1,9 +1,10 @@
 """Property tests: the top-eigenvector kernel and the multiplier root-find
 built on it, the hop shapes along the leakage range that make the optimal
-search's crossing bisection exact, the bracket ceiling that prunes it,
-the search's independence of batch order, optimal-search dominance, the
-rotation invariance of every scheme's SINR, the batched SINR kernel against
-its n = 1 wrappers, and the monotonicity of every analytic outage CDF."""
+search's crossing exact, the envelope-theorem slope of the hop gap that
+its Newton steps take, the bracket ceiling that prunes it, the search's
+independence of batch order, optimal-search dominance, the rotation
+invariance of every scheme's SINR, the batched SINR kernel against its
+n = 1 wrappers, and the monotonicity of every analytic outage CDF."""
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from fdrelay.errors import InfeasibleSchemeError
 from fdrelay.precoding import (
     _beamformers_batch,
     _constrained_gain_dirs,
+    _gap_slope,
     _hops_for_wt,
     _optimal_wt_batch,
     _top_eig_rank_one,
@@ -39,10 +41,13 @@ from fdrelay.precoding import (
 )
 from fdrelay.simkit import _chunk_channels, _sinr_batch
 
-from helpers import make_params
+from helpers import leakage_range, make_params
 
 # Fixed example order so CI runs are reproducible; no example database.
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+# A step on a flat or NaN slope must stay inside the search's errstate.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # A small pool of exact values makes repeated eigenvalues and zero entries of
 # g common among the drawn examples.
@@ -167,6 +172,41 @@ def test_crossing_bisection_misses_nothing_on_the_leakage_range(m_r, m_t, seed, 
     _, g_search = _optimal_wt_batch(params, hsr, hrd, hrr)
     g_grid = np.minimum(np.array(firsts), seconds).max(axis=0)
     assert np.all(g_search >= g_grid * (1.0 - 1e-9))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(
+    m_r=st.integers(1, 6),
+    m_t=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    p_s=st.sampled_from([1.0, 10.0, 1e3]),
+    sigma2_li=st.sampled_from([0.01, 0.3, 3.0]),
+)
+@example(m_r=1, m_t=2, seed=3, p_s=1e3, sigma2_li=3.0)
+def test_gap_slope_matches_central_differences(m_r, m_t, seed, p_s, sigma2_li):
+    # The multiplier of the inner solve gives the slope of the best second
+    # hop in the leakage level (envelope theorem), so the slope the crossing
+    # search steps on matches central differences of the achieved
+    # second - first at interior leakage levels.
+    params = make_params(m_r, m_t, p_s, sigma2_li=sigma2_li)
+    rng = np.random.default_rng(seed)
+    chans = [sample_channel(params, rng) for _ in range(2)]
+    hsr, hrd, hrr = (np.stack([getattr(c, name) for c in chans])
+                     for name in ("h_sr", "h_rd", "h_rr"))
+    s = np.sum(np.abs(hsr) ** 2, axis=1)
+    a, c, t_mrt = leakage_range(params, hsr, hrd, hrr)
+
+    def gap(t):
+        wt = _wt_at_leakage(params, hsr, np.conj(hrd), a, c, t)
+        first, second = _hops_for_wt(params, hsr, hrd, hrr, wt)
+        return second - first, wt
+
+    h = 1e-5 * t_mrt
+    for frac in (0.25, 0.5, 0.75):
+        t = frac * t_mrt
+        slope = _gap_slope(params, s, np.conj(hrd), a, c, t, gap(t)[1])
+        central = (gap(t + h)[0] - gap(t - h)[0]) / (2.0 * h)
+        assert np.all(np.abs(slope - central) <= 1e-6 * np.abs(central)), frac
 
 
 @settings(PROPERTY, max_examples=40)
