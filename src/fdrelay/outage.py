@@ -22,12 +22,12 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
 
 from .channel import SystemParams
 from .precoding import Scheme, check_feasible
 from .specfun import (
     digamma,
+    exp1,
     integrate_semi_infinite,
     ln_gamma,
     meijer_special_cdf,
@@ -179,7 +179,7 @@ def outage_tzf_asymptotic(q: OutageQuery) -> float:
         if lam == 0.0:  # lam^m_r ln(lam) -> 0, where lam underflows
             return 0.0
         log_term = (
-            -math.log(lam) - math.log(c) + 2.0 * digamma(1.0) + 1.0 / m_r - float(exp1(c))
+            -math.log(lam) - math.log(c) + 2.0 * digamma(1.0) + 1.0 / m_r - exp1(c)
         )
         return scale * (reg_gamma_q(m_r, c) + c**m_r / math.exp(ln_gamma(m_r)) * log_term)
     ratio = math.exp(ln_gamma(a - m_r) - ln_gamma(a))

@@ -4,16 +4,24 @@ Everything in this module is a pure function of its arguments.  The gamma
 family delegates to the cephes routines in :mod:`scipy.special`, whose
 relative error (~1e-14) sits well below the 1e-12 budget the outage
 integrals need.
+
+This is the only module that uses scipy, and it imports :mod:`scipy.special`
+and :mod:`scipy.integrate` on first use.  Loading the two takes a few
+tenths of a second and about 47 MB, which Monte Carlo runs and the
+precoders, needing numpy alone, would otherwise pay at every start.  Until
+then the globals ``special`` and ``integrate`` hold a stand-in whose first
+attribute access imports the real module and rebinds the global to it, so
+later calls reach scipy with no per-call check.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import warnings
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
 
 __all__ = [
     "QuadratureConvergenceError",
@@ -21,6 +29,7 @@ __all__ = [
     "reg_gamma_p",
     "reg_gamma_q",
     "digamma",
+    "exp1",
     "meijer_special_cdf",
     "integrate_semi_infinite",
 ]
@@ -35,6 +44,22 @@ _MAX_SUBDIVISIONS = 200
 
 # Integrand-to-peak ratio below which the exponential tail is truncated.
 _TAIL_EPS = 1e-16
+
+
+class _ImportOnFirstUse:
+    """Stand-in for the scipy module bound to global ``name`` until first use."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        module = importlib.import_module(f"scipy.{self._name}")
+        globals()[self._name] = module
+        return getattr(module, attr)
+
+
+special = _ImportOnFirstUse("special")
+integrate = _ImportOnFirstUse("integrate")
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -76,6 +101,13 @@ def digamma(x: float) -> float:
     if not x > 0.0:
         raise ValueError(f"digamma requires x > 0, got {x!r}")
     return float(special.psi(x))
+
+
+def exp1(x: float) -> float:
+    """Exponential integral E1(x) = int_x^inf e^-t / t dt for x > 0."""
+    if not x > 0.0:
+        raise ValueError(f"exp1 requires x > 0, got {x!r}")
+    return float(special.exp1(x))
 
 
 def meijer_special_cdf(t: float, m_r: int) -> float:

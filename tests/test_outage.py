@@ -121,6 +121,13 @@ class TestTzfAsymptotic:
             )
         assert ratios[1] == pytest.approx(ratios[0], rel=0.05)
 
+    def test_balanced_branch_values(self):
+        # m_t = m_r + 1, the branch with the E1 term, to the last bit.
+        for m_r, m_t, law in ((2, 3, 4.5361419950602415e-08),
+                              (1, 2, 0.000920440454894904)):
+            q = q_at(make_params(m_r, m_t, 1e4))
+            assert outage_tzf_asymptotic(q) == law, (m_r, m_t)
+
     def test_laws_past_the_float_range(self):
         # lam = 1e300 puts lam^2 past the float range, so those laws are
         # inf; lam = 1e-300 / 1e30 underflows to 0, where the balanced

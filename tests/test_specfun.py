@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -113,6 +114,18 @@ def test_digamma_domain():
         digamma(0.0)
     with pytest.raises(ValueError):
         digamma(-3.0)
+
+
+def test_exp1_matches_mpmath():
+    for x in (1e-3, 0.5, 1.0, 10.0, 50.0):
+        assert specfun.exp1(x) == pytest.approx(float(mpmath.e1(x)), rel=1e-13), x
+
+
+def test_exp1_domain():
+    with pytest.raises(ValueError):
+        specfun.exp1(0.0)
+    with pytest.raises(ValueError):
+        specfun.exp1(-1.0)
 
 
 class TestLoopProductCdf:
