@@ -6,7 +6,7 @@ header block recording the config hash, seed and tool version, plus an
 optional JSON mirror; rows are emitted in a deterministic order so reruns
 are byte-identical.
 
-``_exact_cdf`` alone maps a scheme and antenna pair to its analytic CDF.
+``_exact_outages`` alone maps a scheme and antenna pair to its analytic CDF.
 ``run_validation`` and the acceptance suite read one check table of
 measurements, each with its own sizes and bounds.
 """
@@ -23,7 +23,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable
 
 from . import __version__
 from .channel import SystemParams
@@ -32,11 +31,15 @@ from .outage import (
     OutageQuery,
     diversity_order,
     outage_hd,
+    outage_hd_batch,
     outage_mrc_mrt,
+    outage_mrc_mrt_batch,
     outage_rzf,
     outage_rzf_asymptotic,
+    outage_rzf_batch,
     outage_tzf,
     outage_tzf_asymptotic,
+    outage_tzf_batch,
 )
 from .precoding import Scheme, check_feasible
 from .simkit import OutageEstimate, _held_gains, _search_alpha_batch, estimate_outage
@@ -58,9 +61,10 @@ __all__ = [
     "run_validation",
 ]
 
-# The benchmark's trace hooks (perfbench/fdbench/trace.py) wrap these two
-# names; nothing in fdrelay calls them.  Delete them once those hooks wrap
-# outage_mrc_mrt instead.
+# The benchmark's trace hooks (perfbench/fdbench/trace.py) wrap the scalar
+# outage_tzf, outage_rzf and outage_hd imported above and these two names;
+# the sweeps call the batched CDFs instead.  Delete the aliases once those
+# hooks wrap outage_mrc_mrt.
 outage_mrc_case1 = outage_mrc_case2 = outage_mrc_mrt
 
 _OUTPUT_KINDS = ("monte_carlo", "analytic", "asymptotic")
@@ -297,20 +301,25 @@ def _is_feasible(scheme: Scheme, m_r: int, m_t: int) -> bool:
     return True
 
 
-def _exact_cdf(scheme: Scheme, m_r: int, m_t: int) -> tuple[str, Callable] | None:
-    """The (label, analytic outage CDF) of ``scheme`` at (m_r, m_t), or None
-    when the pair is infeasible or the scheme (optimal) has no analytic CDF.
-
-    The ``outage_*`` names are looked up at call time.
+def _exact_outages(
+    scheme: Scheme, points: list[SystemParams]
+) -> tuple[str, list[float]] | None:
+    """(label, analytic outage at each of ``points``) of ``scheme``, from one
+    batched CDF call; the points share one antenna pair.  None when the pair
+    is infeasible or the scheme (optimal) has no analytic CDF.
     """
-    if not _is_feasible(scheme, m_r, m_t):
+    if not _is_feasible(scheme, points[0].m_r, points[0].m_t):
         return None
-    return {
-        Scheme.TZF: ("tzf", outage_tzf),
-        Scheme.RZF: ("rzf", outage_rzf),
-        Scheme.MRC_MRT: ("mrc_mrt", outage_mrc_mrt),
-        Scheme.HALF_DUPLEX: ("hd", outage_hd),
+    exact = {
+        Scheme.TZF: ("tzf", outage_tzf_batch),
+        Scheme.RZF: ("rzf", outage_rzf_batch),
+        Scheme.MRC_MRT: ("mrc_mrt", outage_mrc_mrt_batch),
+        Scheme.HALF_DUPLEX: ("hd", outage_hd_batch),
     }.get(scheme)
+    if exact is None:
+        return None
+    label, cdf = exact
+    return label, [float(v) for v in cdf([OutageQuery(p, p.gamma_th) for p in points])]
 
 
 def _asymptotic_outage(params: SystemParams, scheme: Scheme) -> float | None:
@@ -356,7 +365,8 @@ def run_outage_sweep(cfg: ExperimentConfig) -> SweepResult:
     p_s or gamma_th, on which no draw depends, so each feasible scheme's
     Monte Carlo draws and reduces its trials once and scores every point on
     them (``_paired_estimates``); each row is still the plain
-    ``estimate_outage`` at its point.
+    ``estimate_outage`` at its point.  Likewise each feasible scheme's
+    analytic CDF is one batched call over every point (``_exact_outages``).
     """
     kind_axis = cfg.sweep_kind()
     if kind_axis == "alpha":
@@ -368,11 +378,13 @@ def run_outage_sweep(cfg: ExperimentConfig) -> SweepResult:
     rows = []
     for scheme in cfg.schemes:
         feasible = _is_feasible(scheme, cfg.params.m_r, cfg.params.m_t)
-        estimates = []
+        estimates, exact = [], None
         if feasible and "monte_carlo" in cfg.outputs:
             estimates = _paired_estimates(
                 swept, scheme, cfg.trials_for(scheme), cfg.seed, cfg.threads
             )
+        if feasible and "analytic" in cfg.outputs:
+            exact = _exact_outages(scheme, swept)
         for i, p in enumerate(swept):
             base = {
                 "scheme": scheme.value,
@@ -390,8 +402,7 @@ def run_outage_sweep(cfg: ExperimentConfig) -> SweepResult:
                     row["p_out"] = estimates[i].p_hat
                     row["std_err"] = estimates[i].std_err
                 elif out_kind == "analytic":
-                    exact = _exact_cdf(scheme, p.m_r, p.m_t)
-                    row["analytic"] = exact[1](OutageQuery(p, p.gamma_th)) if exact else None
+                    row["analytic"] = exact[1][i] if exact else None
                 else:
                     row["asymptotic"] = _asymptotic_outage(p, scheme)
                 rows.append(row)
@@ -522,15 +533,15 @@ def _mc_vs_exact(pairs, snrs_db, n_trials: int, seed: int, threads: int) -> list
     """
     out: list[tuple] = []
     for m_r, m_t in pairs:
+        swept = [_fig1_params(m_r, m_t, 10.0 ** (snr_db / 10.0)) for snr_db in snrs_db]
         for scheme in Scheme:
-            exact = _exact_cdf(scheme, m_r, m_t)
+            exact = _exact_outages(scheme, swept)
             if exact is None:
                 continue
-            label, cdf = exact
-            swept = [_fig1_params(m_r, m_t, 10.0 ** (snr_db / 10.0)) for snr_db in snrs_db]
+            label, analytic = exact
             estimates = _paired_estimates(swept, scheme, n_trials, seed, threads)
-            for snr_db, p, est in zip(snrs_db, swept, estimates):
-                out.append((label, m_r, m_t, snr_db, cdf(OutageQuery(p, p.gamma_th)), est))
+            out.extend((label, m_r, m_t, snr_db, value, est)
+                       for snr_db, value, est in zip(snrs_db, analytic, estimates))
     return out
 
 
@@ -538,9 +549,8 @@ def _asymptotic_ratios(cases) -> list[float]:
     """Exact over asymptotic outage at 40 dB for each ZF (scheme, m_r, m_t)."""
     ratios = []
     for scheme, m_r, m_t in cases:
-        _, cdf = _exact_cdf(scheme, m_r, m_t)
         p = _fig1_params(m_r, m_t, 1e4)
-        ratios.append(cdf(OutageQuery(p, p.gamma_th)) / _asymptotic_outage(p, scheme))
+        ratios.append(_exact_outages(scheme, [p])[1][0] / _asymptotic_outage(p, scheme))
     return ratios
 
 
@@ -551,13 +561,11 @@ def _diversity_slopes(cases) -> list[tuple[float, int]]:
     """
     slopes = []
     for scheme, m_r, m_t in cases:
-        _, cdf = _exact_cdf(scheme, m_r, m_t)
         balanced = scheme is Scheme.TZF and m_t == m_r + 1
-        logs = []
-        for rho in (10.0**3.5, 10.0**4.5):
-            p = _fig1_params(m_r, m_t, rho)
-            value = cdf(OutageQuery(p, p.gamma_th))
-            logs.append(math.log10(value / math.log(rho) if balanced else value))
+        rhos = (10.0**3.5, 10.0**4.5)
+        _, values = _exact_outages(scheme, [_fig1_params(m_r, m_t, rho) for rho in rhos])
+        logs = [math.log10(value / math.log(rho) if balanced else value)
+                for rho, value in zip(rhos, values)]
         slopes.append((logs[0] - logs[1], diversity_order(scheme, m_r, m_t)))
     return slopes
 

@@ -18,17 +18,22 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .channel import SystemParams
 from .precoding import Scheme, check_feasible
+
+# integrate_semi_infinite and meijer_special_cdf stay importable here for the
+# benchmark's trace hooks (perfbench/fdbench/trace.py); no CDF calls them.
 from .specfun import (
     digamma,
     exp1,
     integrate_semi_infinite,
+    integrate_semi_infinite_batch,
     ln_gamma,
     meijer_special_cdf,
     reg_gamma_p,
@@ -39,11 +44,15 @@ __all__ = [
     "OutageQuery",
     "link_coefficients",
     "outage_tzf",
+    "outage_tzf_batch",
     "outage_tzf_asymptotic",
     "outage_rzf",
+    "outage_rzf_batch",
     "outage_rzf_asymptotic",
     "outage_mrc_mrt",
+    "outage_mrc_mrt_batch",
     "outage_hd",
+    "outage_hd_batch",
     "diversity_order",
 ]
 
@@ -80,8 +89,27 @@ def link_coefficients(params: SystemParams) -> tuple[float, float, float]:
     return c1, c2, c3
 
 
-def _clip_prob(x: float) -> float:
-    return float(np.clip(x, 0.0, 1.0))
+def _columns(
+    queries: Sequence[OutageQuery], scheme: Scheme | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(m_r, m_t, lam, c = d2^tau/kappa) of each query, as arrays; raises
+    InfeasibleSchemeError if ``scheme`` is infeasible at a query's antennas."""
+    if scheme is not None:
+        for q in queries:
+            check_feasible(scheme, q.params.m_r, q.params.m_t)
+    params = [q.params for q in queries]
+    return (
+        np.array([p.m_r for p in params], dtype=int),
+        np.array([p.m_t for p in params], dtype=int),
+        np.array([q.lam for q in queries], dtype=float),
+        np.array([p.d2**p.tau / p.kappa for p in params], dtype=float),
+    )
+
+
+def _gamma_weight(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gamma(m) density x^(m-1) e^-x / Gamma(m), taken in log space so no
+    power overflows where the exponential has already underflowed."""
+    return np.exp((m - 1) * np.log(x) - x - specfun.special.gammaln(m))
 
 
 def _inf_on_overflow(law: Callable[[OutageQuery], float]) -> Callable[[OutageQuery], float]:
@@ -100,38 +128,38 @@ def _inf_on_overflow(law: Callable[[OutageQuery], float]) -> Callable[[OutageQue
     return guarded
 
 
-def _gamma_min_cdf(m_first: int, m_second: int, lam: float, c: float) -> float:
+def _gamma_min_cdf(
+    m_first: np.ndarray, m_second: np.ndarray, lam: np.ndarray, c: np.ndarray
+) -> np.ndarray:
     """CDF at ``lam`` of W * min(1, V/c) with W ~ Gamma(m_first), V ~ Gamma(m_second).
 
-    This is the common shape of the ZF-style outage integrals.  Evaluated in
-    deficiency form,
+    This is the common shape of the ZF-style outage integrals, one row per
+    element of the arrays.  Evaluated in deficiency form,
 
         F = P(m_first, lam)
             + int_lam^inf P(m_second, c*lam/x) x^(m_first-1) e^-x dx / Gamma(m_first),
 
     whose terms are all small and positive at high SNR; the survival form
-    1 - int Q(...) would lose the tiny outage to cancellation.  Where
-    P(m_first, lam) rounds to 1 no tail can change F, so it is not
-    integrated (far from high SNR its integrand is 0 * inf).  Where lam
-    underflows to 0, F is the CDF at 0, which is 0 (the integrand would
-    start at 0 / 0).
+    1 - int Q(...) would lose the tiny outage to cancellation.  Rows where
+    P(m_first, lam) rounds to 1 are 1, as no tail can change them, and are
+    not integrated; rows where lam underflows to 0 are the CDF at 0, which
+    is 0 (the integrand would start at 0 / 0).  The Gamma density is taken
+    in log space, so far from high SNR no row meets 0 * inf.
     """
-    if lam == 0.0:
-        return 0.0
-    head = reg_gamma_p(m_first, lam)
-    if head == 1.0:
-        return 1.0
-    norm = math.exp(ln_gamma(m_first))
-
-    def integrand(x: float) -> float:
-        return reg_gamma_p(m_second, c * lam / x) * x ** (m_first - 1) * math.exp(-x)
-
-    tail = integrate_semi_infinite(integrand, lam)
-    return _clip_prob(head + tail / norm)
+    head = specfun.special.gammainc(m_first, lam)
+    live = (lam > 0.0) & (head < 1.0)
+    if not live.any():
+        return head
+    a, b, c_lam = m_first[live, None], m_second[live, None], (c * lam)[live, None]
+    tail, _ = integrate_semi_infinite_batch(
+        lambda x: specfun.special.gammainc(b, c_lam / x) * _gamma_weight(a, x), lam[live]
+    )
+    head[live] = np.clip(head[live] + tail, 0.0, 1.0)
+    return head
 
 
-def outage_tzf(q: OutageQuery) -> float:
-    """Exact outage of the transmit-ZF scheme.
+def outage_tzf_batch(queries: Sequence[OutageQuery]) -> np.ndarray:
+    """Exact outage of the transmit-ZF scheme at each query.
 
     With the loop fully nulled on the transmit side, the second hop keeps an
     (m_t - 1)-dimensional matched gain, giving
@@ -139,9 +167,13 @@ def outage_tzf(q: OutageQuery) -> float:
         F(z) = 1 - int_lam^inf Q(m_t - 1, (d2^tau/kappa) lam/x)
                    x^(m_r-1) e^-x / Gamma(m_r) dx.
     """
-    p = q.params
-    check_feasible(Scheme.TZF, p.m_r, p.m_t)
-    return _gamma_min_cdf(p.m_r, p.m_t - 1, q.lam, p.d2**p.tau / p.kappa)
+    m_r, m_t, lam, c = _columns(queries, Scheme.TZF)
+    return _gamma_min_cdf(m_r, m_t - 1, lam, c)
+
+
+def outage_tzf(q: OutageQuery) -> float:
+    """Exact outage of the transmit-ZF scheme; n = 1 of ``outage_tzf_batch``."""
+    return float(outage_tzf_batch([q])[0])
 
 
 @_inf_on_overflow
@@ -186,8 +218,8 @@ def outage_tzf_asymptotic(q: OutageQuery) -> float:
     return scale * (reg_gamma_q(a, c) + c**m_r * ratio * reg_gamma_p(a - m_r, c))
 
 
-def outage_rzf(q: OutageQuery) -> float:
-    """Exact outage of the receive-ZF scheme.
+def outage_rzf_batch(queries: Sequence[OutageQuery]) -> np.ndarray:
+    """Exact outage of the receive-ZF scheme at each query.
 
     The projected combiner keeps a Beta(m_r - 1, 1) share of the first-hop
     gain while the second hop keeps the full m_t-dimensional matched gain:
@@ -198,20 +230,24 @@ def outage_rzf(q: OutageQuery) -> float:
                                   + lam^(m_r-1) int_lam^inf
                                       Q(m_t, (d2^tau/kappa) lam/x) e^-x dx ].
     """
-    p = q.params
-    check_feasible(Scheme.RZF, p.m_r, p.m_t)
-    lam = q.lam
-    c = p.d2**p.tau / p.kappa
-    unprojected = _gamma_min_cdf(p.m_r, p.m_t, lam, c)
-    if unprojected == 1.0 or lam == 0.0:
-        return unprojected
+    m_r, m_t, lam, c = _columns(queries, Scheme.RZF)
+    out = _gamma_min_cdf(m_r, m_t, lam, c)
+    live = (out < 1.0) & (lam > 0.0)
+    if not live.any():
+        return out
+    b, c_lam = m_t[live, None], (c * lam)[live, None]
+    i_q, _ = integrate_semi_infinite_batch(
+        lambda x: specfun.special.gammaincc(b, c_lam / x) * np.exp(-x), lam[live]
+    )
+    m = m_r[live]
+    projected = lam[live] ** (m - 1) * i_q / np.exp(specfun.special.gammaln(m))
+    out[live] = np.clip(out[live] + projected, 0.0, 1.0)
+    return out
 
-    def integrand_q(x: float) -> float:
-        return reg_gamma_q(p.m_t, c * lam / x) * math.exp(-x)
 
-    i_q = integrate_semi_infinite(integrand_q, lam)
-    projected = lam ** (p.m_r - 1) * i_q / math.exp(ln_gamma(p.m_r))
-    return _clip_prob(unprojected + projected)
+def outage_rzf(q: OutageQuery) -> float:
+    """Exact outage of the receive-ZF scheme; n = 1 of ``outage_rzf_batch``."""
+    return float(outage_rzf_batch([q])[0])
 
 
 @_inf_on_overflow
@@ -241,8 +277,8 @@ def outage_rzf_asymptotic(q: OutageQuery) -> float:
     return coeff * c**m_t * lam**m_t
 
 
-def outage_mrc_mrt(q: OutageQuery) -> float:
-    """Exact outage of the MRC/MRT scheme at every antenna pair.
+def outage_mrc_mrt_batch(queries: Sequence[OutageQuery]) -> np.ndarray:
+    """Exact outage of the MRC/MRT scheme at each query, at every antenna pair.
 
     Outage is a first-hop gain x below z/c1, a loop pickup above
     u(x) = (c1 x/z - 1)/(c2 x), or a pickup below it and a short second hop:
@@ -250,31 +286,43 @@ def outage_mrc_mrt(q: OutageQuery) -> float:
         F(z) = P(m_r, z/c1) + int_{z/c1}^inf [e^-u + F_loop(u) P(m_t, z/(c3 x))]
                                   x^(m_r-1) e^-x / Gamma(m_r) dx
 
-    with F_loop the Exp(1) CDF of the loop pickup (``meijer_special_cdf``) and
-    x the Gamma(m_r) first-hop gain; the second-hop factor carries c3, the
-    second-hop coefficient.  Every term is positive, so a deep-tail outage
-    keeps its relative accuracy.
+    with F_loop = 1 - e^-u the Exp(1) CDF of the loop pickup
+    (``meijer_special_cdf``) and x the Gamma(m_r) first-hop gain; the
+    second-hop factor carries c3, the second-hop coefficient.  Every term is
+    positive, so a deep-tail outage keeps its relative accuracy.  Rows where
+    P(m_r, z/c1) rounds to 1 are 1 with no tail to integrate.
     """
-    p = q.params
-    c1, c2, c3 = link_coefficients(p)
-    norm = math.exp(ln_gamma(p.m_r))
+    m_r, m_t, _, _ = _columns(queries)
+    c1, c2, c3 = np.array([link_coefficients(q.params) for q in queries]).reshape(-1, 3).T
+    z = np.array([q.z for q in queries], dtype=float)
+    lower = z / c1
+    out = specfun.special.gammainc(m_r, lower)
+    live = out < 1.0
+    if not live.any():
+        return out
+    a, b = m_r[live, None], m_t[live, None]
+    k1, k2, k3, zl = c1[live, None], c2[live, None], c3[live, None], z[live, None]
 
-    def integrand(x: float) -> float:
-        if c2 == 0.0:
-            loop_fails, loop_holds = 0.0, 1.0
-        else:
-            # max() guards endpoint rounding: u >= 0 on x >= z/c1
-            u = max(c1 * x / q.z - 1.0, 0.0) / (c2 * x)
-            loop_fails, loop_holds = math.exp(-u), meijer_special_cdf(u, p.m_r)
-        fails = loop_fails + loop_holds * reg_gamma_p(p.m_t, q.z / (c3 * x))
-        return fails * x ** (p.m_r - 1) * math.exp(-x) / norm
+    def integrand(x: np.ndarray) -> np.ndarray:
+        # max() guards endpoint rounding (u >= 0 on x >= z/c1); with no loop
+        # (c2 = 0) u is inf, so the loop never fails
+        u = np.divide(np.maximum(k1 * x / zl - 1.0, 0.0), k2 * x,
+                      out=np.full_like(x, np.inf), where=k2 > 0.0)
+        fails = np.exp(-u) - np.expm1(-u) * specfun.special.gammainc(b, zl / (k3 * x))
+        return fails * _gamma_weight(a, x)
 
-    lower = q.z / c1
-    return _clip_prob(reg_gamma_p(p.m_r, lower) + integrate_semi_infinite(integrand, lower))
+    tail, _ = integrate_semi_infinite_batch(integrand, lower[live])
+    out[live] = np.clip(out[live] + tail, 0.0, 1.0)
+    return out
 
 
-def outage_hd(q: OutageQuery) -> float:
-    """Exact outage of the half-duplex baseline.
+def outage_mrc_mrt(q: OutageQuery) -> float:
+    """Exact outage of the MRC/MRT scheme; n = 1 of ``outage_mrc_mrt_batch``."""
+    return float(outage_mrc_mrt_batch([q])[0])
+
+
+def outage_hd_batch(queries: Sequence[OutageQuery]) -> np.ndarray:
+    """Exact outage of the half-duplex baseline at each query.
 
     Structurally the transmit-ZF CDF with the second-hop order raised from
     m_t - 1 to m_t and the harvested power doubled (energy spent over half
@@ -283,8 +331,13 @@ def outage_hd(q: OutageQuery) -> float:
         F(z) = 1 - int_lam^inf Q(m_t, (d2^tau/(2 kappa)) lam/x)
                    x^(m_r-1) e^-x / Gamma(m_r) dx.
     """
-    p = q.params
-    return _gamma_min_cdf(p.m_r, p.m_t, q.lam, p.d2**p.tau / (2.0 * p.kappa))
+    m_r, m_t, lam, c = _columns(queries)
+    return _gamma_min_cdf(m_r, m_t, lam, c / 2.0)
+
+
+def outage_hd(q: OutageQuery) -> float:
+    """Exact outage of the half-duplex baseline; n = 1 of ``outage_hd_batch``."""
+    return float(outage_hd_batch([q])[0])
 
 
 def diversity_order(scheme: Scheme, m_r: int, m_t: int) -> int:

@@ -5,20 +5,24 @@ family delegates to the cephes routines in :mod:`scipy.special`, whose
 relative error (~1e-14) sits well below the 1e-12 budget the outage
 integrals need.
 
-This is the only module that uses scipy, and it imports :mod:`scipy.special`
-and :mod:`scipy.integrate` on first use.  Loading the two takes a few
-tenths of a second and about 47 MB, which Monte Carlo runs and the
+This is the only module that imports scipy, and it imports
+:mod:`scipy.special` on first use; the batched CDFs in ``outage`` call its
+array ufuncs through this module's ``special``.  Loading it takes a few
+tenths of a second and about 26 MB, which Monte Carlo runs and the
 precoders, needing numpy alone, would otherwise pay at every start.  Until
-then the globals ``special`` and ``integrate`` hold a stand-in whose first
-attribute access imports the real module and rebinds the global to it, so
-later calls reach scipy with no per-call check.
+then the global ``special`` holds a stand-in whose first attribute access
+imports the real module and rebinds the global to it, so later calls reach
+scipy with no per-call check.
+
+The tail quadrature is numpy alone: one exp-sinh rule (Takahasi and Mori,
+Publ. RIMS 9, 1974) on a fixed node set, applied to every row of a batch
+at once, with two error estimates that cost no extra integrand call.
 """
 
 from __future__ import annotations
 
 import importlib
 import math
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -32,6 +36,7 @@ __all__ = [
     "exp1",
     "meijer_special_cdf",
     "integrate_semi_infinite",
+    "integrate_semi_infinite_batch",
 ]
 
 
@@ -40,10 +45,16 @@ __all__ = [
 # comparison.
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-8
-_MAX_SUBDIVISIONS = 200
 
-# Integrand-to-peak ratio below which the exponential tail is truncated.
-_TAIL_EPS = 1e-16
+# Exp-sinh nodes x - lower = exp(pi/2 sinh t) at t = k/64.  From k = -352
+# (t = -5.5, 3.5e-84 above the endpoint) to k = 138, the first node past
+# 745, where e^-x underflows to 0: further nodes would add nothing to an
+# integrand with an e^-x envelope, and a scalar integrand such as
+# u**4 * exp(-u) would overflow on them before multiplying by 0.  Both ends
+# are even k, so every other node from the first is the rule at step 1/32.
+_T = np.arange(-352, 139) / 64.0
+_OFFSETS = np.exp(0.5 * np.pi * np.sinh(_T))
+_WEIGHTS = np.pi / 128.0 * np.cosh(_T) * _OFFSETS
 
 
 class _ImportOnFirstUse:
@@ -59,7 +70,6 @@ class _ImportOnFirstUse:
 
 
 special = _ImportOnFirstUse("special")
-integrate = _ImportOnFirstUse("integrate")
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -129,73 +139,52 @@ def meijer_special_cdf(t: float, m_r: int) -> float:
     return -math.expm1(-t)
 
 
-def _tail_cutoff(f: Callable[[float], float], lower: float) -> float | None:
-    """Find an upper limit beyond which the integrand is negligible.
+def integrate_semi_infinite_batch(
+    f: Callable[[np.ndarray], np.ndarray], lower: np.ndarray | list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate ``f`` over ``[lower_i, inf)`` for every row i at once.
 
-    Assumes the integrand carries an exponentially decaying envelope, which
-    holds for every integral in the outage analysis.  Returns ``None`` when
-    the integrand is zero everywhere it was probed.
+    ``f`` maps an ``(n, nodes)`` array of abscissae, row i starting just
+    above ``lower[i]``, to the integrand at each of them; it must carry an
+    ``e^-x`` envelope, as every outage integrand does.  The exp-sinh rule
+    puts the nodes at x = lower + exp(pi/2 sinh t), t = k/64, which cluster
+    double-exponentially at the endpoint, where a boundary layer of width
+    ~lower sits in several outage integrands, and spread as fast into the
+    tail.
+
+    Returns each row's value and its error estimate, the difference from
+    the same sum over the even nodes (step 1/32).  A second estimate covers
+    the truncated tail: the last node's weighted value, which is exactly 0
+    for an ``e^-x`` envelope.  Where either exceeds
+    max(``_ABS_TOL``, ``_REL_TOL`` * |value|), or is not finite, raises
+    :class:`QuadratureConvergenceError` with that row's value as its
+    estimate.
     """
-    probes = lower + np.concatenate(
-        [np.linspace(0.0, 1.0, 9), 2.0 ** np.arange(1, 24)]
-    )
-    values = np.array([abs(f(x)) for x in probes])
-    peak = values.max()
-    if peak == 0.0:
-        return None
-    i_peak = int(values.argmax())
-    for i in range(i_peak + 1, len(probes)):
-        if values[i] <= _TAIL_EPS * peak:
-            return float(probes[i] * 1.5)
-    return float(probes[-1])
-
-
-def _scale_ladder(lower: float, upper: float) -> list[float]:
-    """Forced subdivision points covering every decade of the interval.
-
-    Several outage integrands vary on a boundary layer of width ``~lower``
-    at the left endpoint of an interval many orders of magnitude wider; a
-    plain adaptive pass can step straight over such a layer without its
-    error estimate noticing.  Seeding panel boundaries at geometrically
-    spaced offsets from the endpoint makes the layer visible at every scale.
-    """
-    span = upper - lower
-    anchor = max(lower, span * 1e-14, 1e-300)
-    ladder = np.geomspace(anchor * 1e-2, span, num=32)
-    pts = lower + ladder
-    return [float(p) for p in pts if lower < p < upper]
+    lower = np.asarray(lower, dtype=float)
+    terms = f(lower[:, None] + _OFFSETS) * _WEIGHTS
+    values = terms.sum(axis=1)
+    errors = np.abs(values - 2.0 * terms[:, ::2].sum(axis=1))
+    tails = np.abs(terms[:, -1])
+    tol = np.maximum(_ABS_TOL, _REL_TOL * np.abs(values))
+    missed = ~((errors <= tol) & (tails <= tol))
+    if missed.any():
+        i = int(np.argmax(missed))
+        misses = ", ".join(
+            f"{name} {value:.3g}"
+            for name, value in (("step-halving difference", errors[i]),
+                                ("truncated tail", tails[i]))
+            if not value <= tol[i]
+        )
+        raise QuadratureConvergenceError(
+            f"quadrature on [{lower[i]}, inf) missed its tolerance {tol[i]:.3g}: {misses}",
+            estimate=float(values[i]),
+        )
+    return values, errors
 
 
 def integrate_semi_infinite(f: Callable[[float], float], lower: float) -> float:
-    """Integrate ``f`` over ``[lower, inf)`` for exponentially decaying integrands.
-
-    The infinite interval is truncated where the envelope falls below
-    ``1e-16`` of the integrand's peak, then handed to adaptive Gauss-Kronrod
-    quadrature with forced panel boundaries on a geometric scale ladder.
-    Raises :class:`QuadratureConvergenceError` (carrying the best available
-    estimate) if the tolerance cannot be met within ``_MAX_SUBDIVISIONS``
-    subdivisions.
+    """Integrate a scalar ``f`` over ``[lower, inf)``: the n = 1 wrapper of
+    :func:`integrate_semi_infinite_batch`, calling ``f`` once per node.
     """
-    upper = _tail_cutoff(f, lower)
-    if upper is None:
-        return 0.0
-    ladder = _scale_ladder(lower, upper)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(
-            f,
-            lower,
-            upper,
-            epsabs=_ABS_TOL,
-            epsrel=_REL_TOL,
-            limit=_MAX_SUBDIVISIONS,
-            points=ladder or None,
-            full_output=1,
-        )
-    result, abserr = float(out[0]), float(out[1])
-    if len(out) > 3 and abserr > max(_ABS_TOL, _REL_TOL * abs(result)):
-        raise QuadratureConvergenceError(
-            f"quadrature on [{lower}, {upper}] did not converge: {out[3]}",
-            estimate=result,
-        )
-    return result
+    values, _ = integrate_semi_infinite_batch(np.vectorize(f, otypes=[float]), [lower])
+    return float(values[0])

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +21,15 @@ from fdrelay import (
     reg_gamma_p,
 )
 from fdrelay.errors import InfeasibleSchemeError
-from fdrelay.outage import link_coefficients
+from fdrelay.outage import (
+    link_coefficients,
+    outage_hd_batch,
+    outage_mrc_mrt_batch,
+    outage_rzf_batch,
+    outage_tzf_batch,
+)
 
-from helpers import make_params, reference_mrc_outage
+from helpers import make_params, reference_mrc_outage, reference_zf_outage
 
 
 def q_at(params, z=None):
@@ -332,3 +339,72 @@ class TestDiversityOrder:
             assert slope(outage_rzf, m_r, m_t) == pytest.approx(
                 diversity_order(Scheme.RZF, m_r, m_t), abs=0.3
             )
+
+
+ZF_CDFS = {Scheme.TZF: outage_tzf, Scheme.RZF: outage_rzf, Scheme.HALF_DUPLEX: outage_hd}
+
+
+class TestZfDeepTail:
+    @pytest.mark.parametrize("scheme, m_r, m_t", [
+        (Scheme.TZF, 2, 3), (Scheme.TZF, 3, 3),
+        (Scheme.RZF, 2, 2), (Scheme.RZF, 3, 3),
+        (Scheme.HALF_DUPLEX, 3, 3),
+    ])
+    def test_matches_mpmath_to_120db(self, scheme, m_r, m_t):
+        # Outage down to 4.4e-37 (3x3 half duplex at 120 dB, lam = 1e-12),
+        # far below what Monte Carlo or a 1e-10 absolute tolerance resolves;
+        # d2 = 3 with alpha = 0.1 puts d2^tau/kappa at 243.
+        for kwargs in ({}, {"d2": 3.0, "alpha": 0.1}):
+            for snr_db in (0.0, 60.0, 120.0):
+                params = make_params(m_r, m_t, 10.0 ** (snr_db / 10.0), **kwargs)
+                expected = reference_zf_outage(scheme, params, params.gamma_th)
+                assert ZF_CDFS[scheme](q_at(params)) == pytest.approx(
+                    expected, rel=1e-10, abs=0.0
+                ), (kwargs, snr_db)
+
+
+BATCHED = (
+    (Scheme.TZF, outage_tzf_batch, outage_tzf),
+    (Scheme.RZF, outage_rzf_batch, outage_rzf),
+    (Scheme.MRC_MRT, outage_mrc_mrt_batch, outage_mrc_mrt),
+    (Scheme.HALF_DUPLEX, outage_hd_batch, outage_hd),
+)
+
+
+class TestBatchedCdfs:
+    def test_rows_equal_the_n1_wrappers(self):
+        # One call over a sweep, antenna pairs mixed, row for row `==` the
+        # scalar CDF at each point.
+        queries = [
+            q_at(make_params(m_r, m_t, 10.0 ** (snr_db / 10.0), **kwargs))
+            for m_r, m_t in ((2, 2), (3, 2), (2, 3))
+            for snr_db in (0.0, 12.5, 37.5, 60.0)
+            for kwargs in ({}, {"sigma2_li": 0.0}, {"d2": 3.0, "alpha": 0.1})
+        ]
+        for _, batch, scalar in BATCHED:
+            values = batch(queries)
+            assert values.shape == (len(queries),)
+            assert values.tolist() == [scalar(q) for q in queries]
+            assert batch([]).shape == (0,)
+
+    def test_probabilities_to_12_antennas_and_3000db(self):
+        # Far from high SNR and at up to 12 antennas no power overflows and
+        # no 0 * inf appears: every value is a probability, with no warning.
+        sweeps = {
+            "snr": [make_params(2, 2, 10.0 ** (db / 10.0)) for db in (-3000, -30, 0, 30, 3000)],
+            "threshold": [make_params(2, 2, gamma_th=10.0 ** (db / 10.0)) for db in (-3000, 3000)],
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m_r in (1, 2, 5, 12):
+                for m_t in (1, 2, 5, 12):
+                    queries = [q_at(replace(p, m_r=m_r, m_t=m_t))
+                               for points in sweeps.values() for p in points]
+                    for scheme, batch, _ in BATCHED:
+                        try:
+                            values = batch(queries)
+                        except InfeasibleSchemeError:
+                            continue
+                        assert np.all((values >= 0.0) & (values <= 1.0)), (scheme, m_r, m_t)
+                        # -3000 dB of SNR and +3000 dB of threshold: all in outage
+                        assert values[0] == values[-1] == 1.0, (scheme, m_r, m_t)

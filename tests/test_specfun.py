@@ -215,12 +215,43 @@ class TestSemiInfiniteQuadrature:
         )
         assert got == pytest.approx(math.exp(-eps) / (1.0 + eps), rel=1e-6)
 
-    def test_convergence_error_carries_estimate(self, monkeypatch):
-        # A few subdivisions beyond the scale ladder's panels cannot resolve
-        # some 1500 slowly decaying oscillations.
-        monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", 40)
+    def test_convergence_error_carries_estimate(self):
+        # Some 400 slowly decaying oscillations before the last node: the
+        # sums at steps 1/64 and 1/32 disagree by far more than the tolerance.
         with pytest.raises(QuadratureConvergenceError) as err:
             integrate_semi_infinite(
                 lambda u: math.cos(3.0 * u) * math.exp(-u / 50.0), 0.0
             )
+        assert "step-halving difference" in str(err.value)
         assert math.isfinite(err.value.estimate)
+
+    def test_slow_decay_trips_the_truncated_tail(self):
+        # e^(-u/200) is still 0.018 at the last node, x = 807.
+        with pytest.raises(QuadratureConvergenceError) as err:
+            integrate_semi_infinite(lambda u: math.exp(-u / 200.0), 0.0)
+        assert "truncated tail" in str(err.value)
+        assert 0.0 < err.value.estimate < 200.0
+
+    def test_batched_rows_equal_the_n1_wrapper(self):
+        # 1 / (s + x^8) in products alone, so the numpy and Python float
+        # integrands agree bit for bit.
+        lowers, scales = [0.0, 0.5, 2.0, 1e-9], [1.0, 3.0, 0.5, 1.0]
+        s = np.array(scales)[:, None]
+
+        def batched(x):
+            x2 = x * x
+            x4 = x2 * x2
+            return 1.0 / (s + x4 * x4)
+
+        values, errors = specfun.integrate_semi_infinite_batch(batched, lowers)
+        assert values.shape == errors.shape == (4,)
+        for lower, scale, value, error in zip(lowers, scales, values, errors):
+            def scalar(u, scale=scale):
+                u2 = u * u
+                u4 = u2 * u2
+                return 1.0 / (scale + u4 * u4)
+
+            assert integrate_semi_infinite(scalar, lower) == value
+            assert error <= max(1e-10, 1e-8 * value)
+        # int_0^inf dx / (1 + x^8) = (pi/8) / sin(pi/8)
+        assert values[0] == pytest.approx(math.pi / 8.0 / math.sin(math.pi / 8.0), rel=1e-14)
