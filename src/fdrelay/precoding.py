@@ -25,7 +25,8 @@ into ``diag(lam)``, and in that basis the top eigenvector of the pencil
 is ``h`` in the eigenbasis, ``theta`` the eigenvalue).  Only the ratio of
 ``(theta, mu)`` matters, so the multiplier is one angle on a fixed bracket,
 along which the constraint value rises from ``lam_min`` to ``lam_max``; a
-safeguarded Newton root-find on that angle meets the constraint.  With one
+safeguarded Newton root-find on that angle meets the constraint, started
+from the angle the draw's previous leakage probe ended on.  With one
 trace constraint plus the unit-trace normalization the relaxation is tight,
 so that eigenvector is a global solution of the inner problem.
 
@@ -279,17 +280,6 @@ def _hops_from_wt_gains(
     return first, second
 
 
-def _hops_for_wt(
-    params: SystemParams,
-    hsr: np.ndarray,
-    hrd: np.ndarray,
-    hrr: np.ndarray,
-    wt: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """First- and second-hop SINR achieved by ``wt`` with its optimal combiner."""
-    return _hops_from_wt_gains(params, hsr, _sq_norms(hsr), _wt_gains(hsr, hrd, hrr, wt))
-
-
 def _top_eig_rank_one(psi: np.ndarray, lam: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Unit top eigenvector of g g^H + mu diag(lam) at the multiplier angle ``psi``.
 
@@ -310,9 +300,9 @@ def _top_eig_rank_one(psi: np.ndarray, lam: np.ndarray, g: np.ndarray) -> np.nda
 
 
 def _constrained_gain_dirs(
-    lam: np.ndarray, u_basis: np.ndarray, g: np.ndarray, s_target: np.ndarray
-) -> np.ndarray:
-    """Beamformers solving the leakage-constrained gain maximization.
+    lam: np.ndarray, u_basis: np.ndarray, g: np.ndarray, s_target: np.ndarray, psi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Beamformers solving the leakage-constrained gain maximization, and their angles.
 
     ``lam``/``u_basis`` diagonalize the constraint matrix M (``lam``
     ascending), ``g`` is the matched direction expressed in that basis and
@@ -324,14 +314,18 @@ def _constrained_gain_dirs(
     covariance, under the weights |w|^2, of lam and -d'/d, and -d_i'/d_i
     increases with lam_i.  So a safeguarded Newton root-find on that fixed
     bracket takes the Newton step when it stays inside the bracket and
-    bisects otherwise.  A row stops once it meets the residual, and each
-    step probes only the rows still moving, so each row takes the steps it
-    would take alone, whatever else shares its batch.
+    bisects otherwise.  ``psi`` is each row's first angle, clamped strictly
+    inside the bracket; the angle each row ends on is returned with the
+    beamformers, so a caller can start its next root-find there.  A row
+    stops once it meets the residual, and each step probes only the rows
+    still moving, so each row takes the steps it would take alone, whatever
+    else shares its batch.
     """
     span = np.maximum(np.abs(s_target), np.maximum(np.abs(lam).max(axis=1), 1e-30))
     shift = lam - lam[:, :1]
     lo = np.zeros(lam.shape[0])
     hi = np.pi - np.arctan(shift[:, -1])
+    psi = np.clip(psi, 2.0**-40 * hi, (1.0 - 2.0**-40) * hi)
 
     def probe(psi: np.ndarray, rows: np.ndarray | slice) -> tuple[np.ndarray, ...]:
         lam_r, shift_r = lam[rows], shift[rows]
@@ -342,10 +336,7 @@ def _constrained_gain_dirs(
         rate = (shift_r * sin - cos) / (sin + shift_r * cos)  # -d'/d
         return w, c, 2.0 * np.sum((lam_r - c[:, None]) * p * rate, axis=1)
 
-    # psi = pi/2 is mu = 0, the matched direction g itself; below the
-    # matched beamformer's own leakage the root lies beneath it.  ``live``
-    # indexes the rows that have not met the residual yet.
-    psi = np.full(lam.shape[0], 0.5 * np.pi)
+    # ``live`` indexes the rows that have not met the residual yet.
     w, c, slope = probe(psi, slice(None))
     live = np.arange(lam.shape[0])
     for _ in range(40):
@@ -354,14 +345,19 @@ def _constrained_gain_dirs(
         lo[live[below]], hi[live[~below]] = psi[live[below]], psi[live[~below]]
         moving = ~(np.abs(miss) <= 1e-12 * span[live])
         live, miss = live[moving], miss[moving]
-        if live.size == 0:
-            break
         with np.errstate(all="ignore"):  # a flat or NaN slope bisects
             newton = psi[live] - miss / slope[live]
         lo_r, hi_r = lo[live], hi[live]
-        psi[live] = np.where((newton > lo_r) & (newton < hi_r), newton, 0.5 * (lo_r + hi_r))
+        step = np.where((newton > lo_r) & (newton < hi_r), newton, 0.5 * (lo_r + hi_r))
+        # A bracket too narrow to split ends the row, which never probes an
+        # end: there some d_i is 0.
+        split = (step > lo_r) & (step < hi_r)
+        live = live[split]
+        if live.size == 0:
+            break
+        psi[live] = step[split]
         w[live], c[live], slope[live] = probe(psi[live], live)
-    return np.einsum("nij,nj->ni", u_basis, w)
+    return np.einsum("nij,nj->ni", u_basis, w), psi
 
 
 def _wt_at_leakage(
@@ -371,12 +367,15 @@ def _wt_at_leakage(
     a_vec: np.ndarray,
     c_mat: np.ndarray,
     t: np.ndarray,
-) -> np.ndarray:
-    """Candidate beamformer for each trial's leakage level ``t``.
+    psi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate beamformer for each trial's leakage level ``t``, and its angle.
 
     Solves the inner problem of the module docstring in the eigenbasis of
     its constraint matrix ``a a^H - t C``; the loop direction ``a_vec`` must
-    not vanish.  The search scores its ``t = 0`` end with the transmit-ZF
+    not vanish.  The multiplier-angle root-find starts at ``psi`` (pi/2 is
+    mu = 0, the matched direction itself) and the angle it ends on is
+    returned.  The search scores its ``t = 0`` end with the transmit-ZF
     beamformer itself.
     """
     kt = params.kappa * params.p_s / params.d1**params.tau
@@ -385,7 +384,8 @@ def _wt_at_leakage(
     g = np.einsum("nij,ni->nj", np.conj(u_basis), h_dir)
     s_target = t / (kt * _sq_norms(hsr))
     s_target = np.clip(s_target, lam[:, 0], lam[:, -1])
-    return _normalize_rows(_constrained_gain_dirs(lam, u_basis, g, s_target))
+    dirs, psi = _constrained_gain_dirs(lam, u_basis, g, s_target, psi)
+    return _normalize_rows(dirs), psi
 
 
 def _gap_slope(
@@ -424,6 +424,23 @@ def _gap_slope(
         return c1 - kt / params.d2**params.tau * s * mu * (wcw + 1.0 / (kt * s))
 
 
+def _matched_seed_gains(
+    hsr: np.ndarray, hrd: np.ndarray, hrr: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """S = ||h_sr||^2, a = H_rr^H h_sr, the rows where a vanishes, then the
+    matched seed's ``_wt_gains``."""
+    a = np.einsum("nij,ni->nj", np.conj(hrr), hsr)
+    vanished = _loop_vanishes(a, hsr, hrr)
+    return _sq_norms(hsr), a, vanished, *_wt_gains(hsr, hrd, hrr, _normalize_rows(np.conj(hrd)))
+
+
+def _tzf_seed_gains(
+    hsr: np.ndarray, hrd: np.ndarray, hrr: np.ndarray, a: np.ndarray, vanished: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The transmit-ZF seed's ``_wt_gains``, projected off the loop direction ``a``."""
+    return _wt_gains(hsr, hrd, hrr, _normalize_rows(_zero_force(np.conj(hrd), a, vanished)))
+
+
 def _optimal_seed_gains(
     hsr: np.ndarray, hrd: np.ndarray, hrr: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -435,13 +452,8 @@ def _optimal_seed_gains(
     transmit sides of ``_beamformers_batch``, built from the same ``a``
     without the combiners it would also make.
     """
-    a = np.einsum("nij,ni->nj", np.conj(hrr), hsr)
-    vanished = _loop_vanishes(a, hsr, hrr)
-    h = np.conj(hrd)
-    matched, tzf = (
-        _wt_gains(hsr, hrd, hrr, _normalize_rows(wt)) for wt in (h, _zero_force(h, a, vanished))
-    )
-    return _sq_norms(hsr), a, vanished, *matched, *tzf
+    s, a, vanished, *matched = _matched_seed_gains(hsr, hrd, hrr)
+    return s, a, vanished, *matched, *_tzf_seed_gains(hsr, hrd, hrr, a, vanished)
 
 
 def _optimal_wt_batch(
@@ -454,13 +466,14 @@ def _optimal_wt_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best transmit beamformer and its achieved SINR for each realization.
 
-    ``held`` is ``_optimal_seed_gains`` of the draws (made here when not
-    given).  It is alpha-free, so the Monte Carlo driver makes it once per
-    chunk and reuses it at every alpha probe.  Per call, only the seeds'
-    combiners are solved again at kappa(alpha), from the held vectors and
-    with the arithmetic of ``_hops_for_wt``, so the result is bit for bit
-    that of a search that rebuilds the seeds; the t_mrt bracket end, the
-    leakage probes and their scoring are per call too.
+    ``held`` is ``_optimal_seed_gains`` of the draws.  It is alpha-free, so
+    the Monte Carlo driver makes it once per chunk and reuses it at every
+    alpha probe.  Without it, the call makes the matched seed for every row
+    and the transmit-ZF seed only for the rows that reach it, with the same
+    row-wise arithmetic, so each row is bit for bit what held seeds give.
+    Per call, only the seeds' combiners are solved again at kappa(alpha);
+    the t_mrt bracket end, the leakage probes and their scoring are per
+    call too.
 
     Scores the matched (``t = t_mrt``) and transmit-ZF (``t = 0``) seeds,
     then walks each row toward the crossing of the first hop ``c1 (S - t)``
@@ -475,7 +488,10 @@ def _optimal_wt_batch(
     t_mrt, the bracket width at which a bisection of 34 halvings ends, or
     when its Newton step rounds to nothing.  Since min(first, second) peaks
     at that crossing or at a seed, the best candidate seen is kept.  Each
-    row takes the steps it would take alone, whatever else shares its batch.
+    leakage probe's multiplier-angle root-find starts from the angle the
+    row's previous one ended on (pi/2 on its first), so nearby probes take
+    fewer angle steps.  Each row takes the steps it would take alone,
+    whatever else shares its batch.
 
     No beamformer beats the bracket ceiling U = min(first(lo), second(hi)):
     for t < lo, f <= second(t) <= second(lo) < first(lo); on [lo, hi], f <=
@@ -492,8 +508,11 @@ def _optimal_wt_batch(
     root-find's residual.
     """
     n, m_t = hrd.shape
-    s, a, vanished, *seeds = held or _optimal_seed_gains(hsr, hrd, hrr)
-    matched, tzf = seeds[:5], seeds[5:]
+    if held:
+        s, a, vanished, *seeds = held
+        matched, held_tzf = seeds[:5], seeds[5:]
+    else:
+        s, a, vanished, *matched = _matched_seed_gains(hsr, hrd, hrr)
     best_wt = matched[0].copy()
     first_mrt, second_hi = _hops_from_wt_gains(params, hsr, s, matched)
     best_gamma = np.minimum(first_mrt, second_hi)
@@ -530,11 +549,14 @@ def _optimal_wt_batch(
 
     # The bracket starts as [0, t_mrt], where t_mrt is the matched
     # beamformer's own leakage level, and the transmit-ZF seed (t = 0) is
-    # scored at its lower end.
+    # scored at its lower end; without held seeds it is made for these rows
+    # only.
     _, _, nv2, vh, _ = matched
     kts = params.kappa * params.p_s / d1t * s[rows]
     hi[rows] = kts * np.abs(vh[rows]) ** 2 / (1.0 + kts * nv2[rows])
-    first_lo[rows] = score(rows, hsr[rows], tuple(x[rows] for x in tzf))[0]
+    tzf = (tuple(x[rows] for x in held_tzf) if held
+           else _tzf_seed_gains(*(x[rows] for x in (hsr, hrd, hrr, a, vanished))))
+    first_lo[rows] = score(rows, hsr[rows], tzf)[0]
     rows = undecided(rows)
 
     # g = second - first rises through the crossing.  Each row starts at the
@@ -542,6 +564,7 @@ def _optimal_wt_batch(
     # as a function of u = sqrt(t): with q = g / g', u - q / (2u) squares to
     # t - q + q^2 / (4t), and it is positive while q < 2t.
     t, gap, slope = hi.copy(), second_hi - first_mrt, np.full(n, params.p_s / d1t)
+    psi = np.full(n, 0.5 * np.pi)
     tol = 2.0**-34 * hi
     while rows.size:
         with np.errstate(all="ignore"):  # a flat or NaN slope bisects
@@ -560,7 +583,7 @@ def _optimal_wt_batch(
         ch = hsr[rows], hrd[rows], hrr[rows]
         h_dir, a_r = np.conj(ch[1]), a[rows]
         c = np.einsum("nij,nik->njk", np.conj(ch[2]), ch[2])
-        wt = _wt_at_leakage(params, ch[0], h_dir, a_r, c, step)
+        wt, psi[rows] = _wt_at_leakage(params, ch[0], h_dir, a_r, c, step, psi[rows])
         first, second = score(rows, ch[0], _wt_gains(*ch, wt))
         t[rows], gap[rows] = step, second - first
         slope[rows] = _gap_slope(params, s[rows], h_dir, a_r, c, step, wt)

@@ -7,6 +7,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from fdrelay import ChannelRealization, Scheme, SystemParams
+from fdrelay.precoding import (
+    _beamformers_batch,
+    _hops_from_wt_gains,
+    _sq_norms,
+    _wt_at_leakage,
+    _wt_gains,
+)
 
 
 def make_params(
@@ -239,6 +246,22 @@ def leakage_range(
     return a, c, kts * aw / (1.0 + kts * cw)
 
 
+def hops_for_wt(
+    params: SystemParams, hsr: np.ndarray, hrd: np.ndarray, hrr: np.ndarray, wt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First- and second-hop SINR achieved by ``wt`` with its optimal combiner."""
+    return _hops_from_wt_gains(params, hsr, _sq_norms(hsr), _wt_gains(hsr, hrd, hrr, wt))
+
+
+def cold_leakage_probe(
+    params: SystemParams, hsr: np.ndarray, hrd: np.ndarray, a: np.ndarray, c: np.ndarray,
+    t: np.ndarray,
+) -> np.ndarray:
+    """The library's beamformers at leakage levels ``t``, each angle root-find
+    started at pi/2 (mu = 0) as on a row's first leakage probe."""
+    return _wt_at_leakage(params, hsr, np.conj(hrd), a, c, t, np.full(t.shape, 0.5 * np.pi))[0]
+
+
 def bisection_best_sinr(
     params: SystemParams, hsr: np.ndarray, hrd: np.ndarray, hrr: np.ndarray
 ) -> np.ndarray:
@@ -252,16 +275,14 @@ def bisection_best_sinr(
     the inner solve at a leakage level with the library, but not the
     search loop.
     """
-    from fdrelay.precoding import _beamformers_batch, _hops_for_wt, _wt_at_leakage
-
     seeds = [_beamformers_batch(s, hsr, hrd, hrr)[1] for s in (Scheme.MRC_MRT, Scheme.TZF)]
-    best = np.max([np.minimum(*_hops_for_wt(params, hsr, hrd, hrr, wt)) for wt in seeds], axis=0)
+    best = np.max([np.minimum(*hops_for_wt(params, hsr, hrd, hrr, wt)) for wt in seeds], axis=0)
     a, c, t_mrt = leakage_range(params, hsr, hrd, hrr)
     lo, hi = np.zeros_like(t_mrt), t_mrt
     for _ in range(34):
         mid = 0.5 * (lo + hi)
-        wt = _wt_at_leakage(params, hsr, np.conj(hrd), a, c, mid)
-        first, second = _hops_for_wt(params, hsr, hrd, hrr, wt)
+        wt = cold_leakage_probe(params, hsr, hrd, a, c, mid)
+        first, second = hops_for_wt(params, hsr, hrd, hrr, wt)
         best = np.fmax(best, np.minimum(first, second))
         up = second < first
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)

@@ -20,7 +20,13 @@ from fdrelay.errors import DegenerateChannelError, InfeasibleSchemeError
 from fdrelay.precoding import BeamformingPair, _optimal_wt_batch
 from fdrelay.simkit import _chunk_channels
 
-from helpers import ascent_best_sinr, bisection_best_sinr, four_antenna_params, make_params
+from helpers import (
+    ascent_best_sinr,
+    bisection_best_sinr,
+    four_antenna_params,
+    hops_for_wt,
+    make_params,
+)
 
 # A step on a flat or NaN slope must stay inside the search's errstate.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -242,16 +248,16 @@ class TestOptimal:
         seeds = [precoding._beamformers_batch(s, hsr, hrd, hrr)[1]
                  for s in (Scheme.MRC_MRT, Scheme.TZF)]
         (f_mrt, s_mrt), (f_tzf, s_tzf) = (
-            precoding._hops_for_wt(params, hsr, hrd, hrr, wt) for wt in seeds
+            hops_for_wt(params, hsr, hrd, hrr, wt) for wt in seeds
         )
         matched_wins, tzf_wins = s_mrt <= f_mrt, s_tzf >= f_tzf
         assert matched_wins.any() and tzf_wins.any()
         rows = matched_wins | tzf_wins
         calls = []
 
-        def probe(params, hsr, h_dir, a_vec, c_mat, t):
+        def probe(params, hsr, h_dir, a_vec, c_mat, t, psi):
             calls.append(t.size)
-            return np.full_like(h_dir, np.nan)
+            return np.full_like(h_dir, np.nan), psi
 
         monkeypatch.setattr(precoding, "_wt_at_leakage", probe)
         _, gamma = _optimal_wt_batch(params, hsr[rows], hrd[rows], hrr[rows])
@@ -284,28 +290,38 @@ class TestOptimal:
     def test_newton_crossing_keeps_up_with_a_34_step_bisection(self, monkeypatch, params):
         # On every draw that no seed decides, the Newton search scores within
         # 2e-9 of a plain 34-step bisection, and no draw makes more than 16
-        # leakage probes.
+        # leakage probes.  Every angle root-find after a row's first starts
+        # where the row's previous one ended, and these take at most 4 angle
+        # probes on average (6 to 8 each when started at pi/2).
         from fdrelay import precoding
 
         draws = [np.concatenate(x) for x in zip(*(_chunk_channels(params, 5, k) for k in (0, 1)))]
         seeds = [precoding._beamformers_batch(s, *draws)[1] for s in (Scheme.MRC_MRT, Scheme.TZF)]
         (f_mrt, s_mrt), (f_tzf, s_tzf) = (
-            precoding._hops_for_wt(params, *draws, wt) for wt in seeds
+            hops_for_wt(params, *draws, wt) for wt in seeds
         )
         rows = np.flatnonzero(~((s_mrt <= f_mrt) | (s_tzf >= f_tzf)))[:1200]
         assert rows.size >= 1000
         hsr, hrd, hrr = (x[rows] for x in draws)
         probes = collections.Counter()
-        solve = precoding._wt_at_leakage
+        solve, angle = precoding._wt_at_leakage, precoding._top_eig_rank_one
 
-        def counting(params, hsr, *rest):
+        def counting(params, hsr, h_dir, a_vec, c_mat, t, psi):
             probes.update(row.tobytes() for row in hsr)
-            return solve(params, hsr, *rest)
+            probes["calls"] += 1
+            return solve(params, hsr, h_dir, a_vec, c_mat, t, psi)
+
+        def counting_angles(psi, lam, g):
+            # Every row of the search's first call makes its first leakage probe.
+            probes["warm"] += psi.size if probes["calls"] > 1 else 0
+            return angle(psi, lam, g)
 
         monkeypatch.setattr(precoding, "_wt_at_leakage", counting)
+        monkeypatch.setattr(precoding, "_top_eig_rank_one", counting_angles)
         _, gamma = _optimal_wt_batch(params, hsr, hrd, hrr)
         per_row = np.array([probes[row.tobytes()] for row in hsr])
         assert per_row.min() >= 1 and per_row.max() <= 16
+        assert probes["warm"] <= 4.0 * (per_row.sum() - rows.size)
         reference = bisection_best_sinr(params, hsr, hrd, hrr)
         assert np.all(gamma >= reference * (1.0 - 2e-9))
 
@@ -324,9 +340,9 @@ class TestOptimal:
         hsr, hrd, hrr = hsr[:200], hrd[:200], hrr[:200]
         _, matched = precoding._beamformers_batch(Scheme.MRC_MRT, hsr, hrd, hrr)
         _, tzf_wt = precoding._beamformers_batch(Scheme.TZF, hsr, hrd, hrr)
-        f_mrt, s_mrt = precoding._hops_for_wt(params, hsr, hrd, hrr, matched)
+        f_mrt, s_mrt = hops_for_wt(params, hsr, hrd, hrr, matched)
         g_mrt = np.minimum(f_mrt, s_mrt)
-        g_tzf = np.minimum(*precoding._hops_for_wt(params, hsr, hrd, hrr, tzf_wt))
+        g_tzf = np.minimum(*hops_for_wt(params, hsr, hrd, hrr, tzf_wt))
         scored = s_mrt > f_mrt
         if resolve_above is not None:
             c1s = params.p_s / params.d1**params.tau * np.sum(np.abs(hsr) ** 2, axis=1)
@@ -336,9 +352,9 @@ class TestOptimal:
         g_seeds = np.where(tzf_better, g_tzf, g_mrt)
         calls = []
 
-        def nan_rows(params, hsr, h_dir, a_vec, c_mat, t):
+        def nan_rows(params, hsr, h_dir, a_vec, c_mat, t, psi):
             calls.append(t.size)
-            return np.full_like(h_dir, np.nan)
+            return np.full_like(h_dir, np.nan), psi
 
         monkeypatch.setattr(precoding, "_wt_at_leakage", nan_rows)
         with np.errstate(invalid="ignore"):

@@ -33,15 +33,13 @@ from fdrelay.precoding import (
     _beamformers_batch,
     _constrained_gain_dirs,
     _gap_slope,
-    _hops_for_wt,
     _optimal_wt_batch,
     _top_eig_rank_one,
-    _wt_at_leakage,
     check_feasible,
 )
 from fdrelay.simkit import _chunk_channels, _sinr_batch
 
-from helpers import leakage_range, make_params
+from helpers import cold_leakage_probe, hops_for_wt, leakage_range, make_params
 
 # Fixed example order so CI runs are reproducible; no example database.
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -103,13 +101,25 @@ def test_top_eig_rank_one_is_the_top_eigenvector(case, frac):
     assert np.all(np.linalg.norm(mw - top[:, None] * w, axis=1) <= 1e-12 * scale)
 
 
+# Start angles as fractions of the bracket (0, hi), hi in [pi/2, pi): any
+# inside it, some within 1e-3 of either end, and None for pi/2 itself, the
+# start of every row's first leakage probe.
+_starts = st.one_of(
+    st.none(),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 3e-4, exclude_min=True),
+    st.floats(1.0 - 3e-4, 1.0, exclude_max=True),
+)
+
+
 @PROPERTY
-@given(rank_one_updates(), st.floats(0.0, 1.0))
-def test_constraint_value_rises_and_the_root_find_meets_it(case, frac):
+@given(rank_one_updates(), st.floats(0.0, 1.0), _starts)
+def test_constraint_value_rises_and_the_root_find_meets_it(case, frac, start):
     # c(psi) = sum lam |w(psi)|^2 never falls on the angle bracket, so the
-    # root-find meets its residual for every target that c reaches inside
-    # the bracket and otherwise (zero entries of g, or a target at lam_min
-    # or lam_max) ends closer to it than any angle of the grid.
+    # root-find meets its residual, from any start inside the bracket, for
+    # every target that c reaches inside the bracket and otherwise (zero
+    # entries of g, or a target at lam_min or lam_max) ends closer to it
+    # than any angle of the grid.
     lam, g = case
     n, m = g.shape
     span = np.maximum(np.abs(lam).max(axis=1), 1e-30)
@@ -121,7 +131,9 @@ def test_constraint_value_rises_and_the_root_find_meets_it(case, frac):
     assert np.all(np.diff(c_grid, axis=1) >= -1e-12 * span[:, None])
 
     s = lam[:, 0] + frac * (lam[:, -1] - lam[:, 0])
-    w = _constrained_gain_dirs(lam, np.broadcast_to(np.eye(m), (n, m, m)), g, s)
+    psi0 = np.full(n, 0.5 * np.pi) if start is None else start * hi
+    w, psi = _constrained_gain_dirs(lam, np.broadcast_to(np.eye(m), (n, m, m)), g, s, psi0)
+    assert np.all((lo < psi) & (psi < hi))
 
     assert np.allclose(np.linalg.norm(w, axis=1), 1.0, rtol=0.0, atol=1e-12)
     miss = np.abs(np.sum(lam * np.abs(w) ** 2, axis=1) - s)
@@ -161,8 +173,8 @@ def test_crossing_bisection_misses_nothing_on_the_leakage_range(m_r, m_t, seed, 
     firsts, seconds = [], []
     for frac in np.linspace(0.0, 1.0, 65):
         t = frac * t_mrt
-        wt = _wt_at_leakage(params, hsr, np.conj(hrd), a, c, t)
-        first, second = _hops_for_wt(params, hsr, hrd, hrr, wt)
+        wt = cold_leakage_probe(params, hsr, hrd, a, c, t)
+        first, second = hops_for_wt(params, hsr, hrd, hrr, wt)
         assert np.all(np.abs(first - c1 * (s - t)) <= 1e-6 * c1 * s)
         firsts.append(first)
         seconds.append(second)
@@ -197,8 +209,8 @@ def test_gap_slope_matches_central_differences(m_r, m_t, seed, p_s, sigma2_li):
     a, c, t_mrt = leakage_range(params, hsr, hrd, hrr)
 
     def gap(t):
-        wt = _wt_at_leakage(params, hsr, np.conj(hrd), a, c, t)
-        first, second = _hops_for_wt(params, hsr, hrd, hrr, wt)
+        wt = cold_leakage_probe(params, hsr, hrd, a, c, t)
+        first, second = hops_for_wt(params, hsr, hrd, hrr, wt)
         return second - first, wt
 
     h = 1e-5 * t_mrt
@@ -212,7 +224,7 @@ def test_gap_slope_matches_central_differences(m_r, m_t, seed, p_s, sigma2_li):
 @settings(PROPERTY, max_examples=40)
 @given(
     m_r=st.integers(1, 6),
-    m_t=st.integers(2, 6),
+    m_t=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
     p_s=st.sampled_from([1.0, 10.0, 100.0]),
     sigma2_li=st.sampled_from([0.03, 0.3, 3.0]),
@@ -241,7 +253,7 @@ def test_pruned_search_rows_move_with_their_draws():
     hrr = hrr.copy()
     hrr[:8] = 0.0
     seeds = [_beamformers_batch(s, hsr, hrd, hrr)[1] for s in (Scheme.MRC_MRT, Scheme.TZF)]
-    (f_mrt, s_mrt), (f_tzf, s_tzf) = (_hops_for_wt(params, hsr, hrd, hrr, wt) for wt in seeds)
+    (f_mrt, s_mrt), (f_tzf, s_tzf) = (hops_for_wt(params, hsr, hrd, hrr, wt) for wt in seeds)
     matched_wins, tzf_wins = (s_mrt <= f_mrt)[8:], (s_tzf >= f_tzf)[8:]
     assert matched_wins.sum() >= 4 and tzf_wins.sum() >= 4
     assert (~(matched_wins | tzf_wins)).sum() >= 4

@@ -35,7 +35,7 @@ from fdrelay.simkit import (
 )
 from fdrelay.sinr import _fd_gains_batch, _fd_hops_from_gains
 
-from helpers import make_params, reference_sinr
+from helpers import hops_for_wt, make_params, reference_sinr
 
 
 def _near_degenerate_channels():
@@ -285,7 +285,7 @@ class TestHeldSeeds:
             for alpha, mode in TestSplitKernel.SPLITS:
                 p = params_at_alpha(params, alpha, mode)
                 held = precoding._hops_from_wt_gains(p, hsr, s, seed)
-                rebuilt = precoding._hops_for_wt(p, hsr, hrd, hrr, seed[0])
+                rebuilt = hops_for_wt(p, hsr, hrd, hrr, seed[0])
                 wr = precoding._combiner(p, hsr, s, seed)
                 general = _fd_hops_from_gains(p, *_fd_gains_batch(hsr, hrd, hrr, wr, seed[0]))
                 for h, r, g in zip(held, rebuilt, general):
