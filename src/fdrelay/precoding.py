@@ -3,10 +3,10 @@
 Every design is a batched kernel (leading axis = independent realizations):
 ``_beamformers_batch`` gives the closed-form MRC/MRT, transmit-ZF and
 receive-ZF pairs, ``_optimal_wt_batch`` runs the optimal search on the
-alpha-free arrays of ``_optimal_seed_gains``, and both are scored by the
-SINR kernel of :mod:`fdrelay.sinr`.  The Monte Carlo driver calls the
-kernels directly; ``mrc_mrt``, ``tzf``, ``rzf`` and ``optimal`` are their
-n = 1 wrappers, which add the input checks.
+alpha-free arrays of ``_optimal_seed_gains`` and returns the best pair it
+scored, and both are scored by the SINR kernel of :mod:`fdrelay.sinr`.  The
+Monte Carlo driver calls the kernels directly; ``mrc_mrt``, ``tzf``, ``rzf``
+and ``optimal`` are their n = 1 wrappers, which add the input checks.
 
 The closed-form schemes are matched filters, optionally projected off the
 loop direction.  The optimal joint design maximizes the end-to-end SINR:
@@ -157,15 +157,14 @@ def rzf(ch: ChannelRealization) -> BeamformingPair:
 def optimal(ch: ChannelRealization, params: SystemParams) -> BeamformingPair:
     """Jointly SINR-optimal combiner/beamformer pair.
 
-    Runs the leakage-parameterized search described in the module docstring
-    and returns the best candidate together with its closed-form optimal
-    combiner.  The matched and zero-forcing beamformers are always included
-    as candidates, so the achieved SINR dominates every closed-form scheme.
+    The n = 1 call of the leakage-parameterized search described in the
+    module docstring, which returns the best candidate together with the
+    closed-form optimal combiner it was scored with.  The matched and
+    zero-forcing beamformers are always included as candidates, so the
+    achieved SINR dominates every closed-form scheme.
     """
-    hsr, hrd, hrr = _rows(ch)
-    wt, _ = _optimal_wt_batch(params, hsr, hrd, hrr)
-    w_r = _combiner(params, hsr, _sq_norms(hsr), _wt_gains(hsr, hrd, hrr, wt))[0]
-    return BeamformingPair(w_r, wt[0], Scheme.OPTIMAL)
+    (w_r, w_t), _ = _optimal_wt_batch(params, *_rows(ch))
+    return BeamformingPair(w_r[0], w_t[0], Scheme.OPTIMAL)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +229,18 @@ def _beamformers_batch(
     if scheme is Scheme.MRC_MRT:
         return wr, _normalize_rows(np.conj(hrd))
     if scheme is Scheme.TZF:
-        a = np.einsum("nij,ni->nj", np.conj(hrr), hsr)
-        h = np.conj(hrd)
-        return wr, _normalize_rows(_zero_force(h, a, _loop_vanishes(a, hsr, hrr)))
+        return wr, _transmit_zf(hsr, hrd, hrr)[2]
     raise ValueError(f"{scheme} has no closed-form beamformers")
+
+
+def _transmit_zf(
+    hsr: np.ndarray, hrd: np.ndarray, hrr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The loop direction a = H_rr^H h_sr, the rows where it vanishes, and
+    the unit transmit-ZF beamformer: the matched h_rd^* projected off a."""
+    a = np.einsum("nij,ni->nj", np.conj(hrr), hsr)
+    vanished = _loop_vanishes(a, hsr, hrr)
+    return a, vanished, _normalize_rows(_zero_force(np.conj(hrd), a, vanished))
 
 
 def _wt_gains(
@@ -267,8 +274,8 @@ def _combiner(
 
 def _hops_from_wt_gains(
     params: SystemParams, hsr: np.ndarray, s: np.ndarray, gains: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both hops of a beamformer under its optimal combiner, from its gains.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both hops of a beamformer under its optimal combiner, and that combiner.
 
     ``gains`` are its ``_wt_gains`` and ``s`` is S = ||h_sr||^2.
     """
@@ -277,7 +284,7 @@ def _hops_from_wt_gains(
     sig = np.abs(np.einsum("ni,ni->n", wr, hsr)) ** 2
     leak = np.abs(np.einsum("ni,ni->n", wr, v)) ** 2
     first, second, _ = _fd_hops_from_gains(params, s, sig, leak, rd)
-    return first, second
+    return first, second, wr
 
 
 def _top_eig_rank_one(psi: np.ndarray, lam: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -424,23 +431,6 @@ def _gap_slope(
         return c1 - kt / params.d2**params.tau * s * mu * (wcw + 1.0 / (kt * s))
 
 
-def _matched_seed_gains(
-    hsr: np.ndarray, hrd: np.ndarray, hrr: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """S = ||h_sr||^2, a = H_rr^H h_sr, the rows where a vanishes, then the
-    matched seed's ``_wt_gains``."""
-    a = np.einsum("nij,ni->nj", np.conj(hrr), hsr)
-    vanished = _loop_vanishes(a, hsr, hrr)
-    return _sq_norms(hsr), a, vanished, *_wt_gains(hsr, hrd, hrr, _normalize_rows(np.conj(hrd)))
-
-
-def _tzf_seed_gains(
-    hsr: np.ndarray, hrd: np.ndarray, hrr: np.ndarray, a: np.ndarray, vanished: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """The transmit-ZF seed's ``_wt_gains``, projected off the loop direction ``a``."""
-    return _wt_gains(hsr, hrd, hrr, _normalize_rows(_zero_force(np.conj(hrd), a, vanished)))
-
-
 def _optimal_seed_gains(
     hsr: np.ndarray, hrd: np.ndarray, hrr: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -449,11 +439,12 @@ def _optimal_seed_gains(
     S = ||h_sr||^2, the loop direction a = H_rr^H h_sr and the rows where
     it vanishes, then the ``_wt_gains`` of the matched seed and of the
     transmit-ZF seed.  Every array has one row per draw.  The seeds are the
-    transmit sides of ``_beamformers_batch``, built from the same ``a``
-    without the combiners it would also make.
+    transmit sides of ``_beamformers_batch``, without the combiners it
+    would also make.
     """
-    s, a, vanished, *matched = _matched_seed_gains(hsr, hrd, hrr)
-    return s, a, vanished, *matched, *_tzf_seed_gains(hsr, hrd, hrr, a, vanished)
+    a, vanished, tzf_wt = _transmit_zf(hsr, hrd, hrr)
+    matched = _wt_gains(hsr, hrd, hrr, _normalize_rows(np.conj(hrd)))
+    return _sq_norms(hsr), a, vanished, *matched, *_wt_gains(hsr, hrd, hrr, tzf_wt)
 
 
 def _optimal_wt_batch(
@@ -463,17 +454,17 @@ def _optimal_wt_batch(
     hrr: np.ndarray,
     *held: np.ndarray,
     resolve_above: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best transmit beamformer and its achieved SINR for each realization.
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Best combiner/beamformer rows and their achieved SINR for each realization.
 
-    ``held`` is ``_optimal_seed_gains`` of the draws.  It is alpha-free, so
-    the Monte Carlo driver makes it once per chunk and reuses it at every
-    alpha probe.  Without it, the call makes the matched seed for every row
-    and the transmit-ZF seed only for the rows that reach it, with the same
-    row-wise arithmetic, so each row is bit for bit what held seeds give.
-    Per call, only the seeds' combiners are solved again at kappa(alpha);
-    the t_mrt bracket end, the leakage probes and their scoring are per
-    call too.
+    Returns ``(w_r, w_t), gamma``: the unit combiner and beamformer rows of
+    the best candidate scored, the combiner being the closed-form optimal
+    one that candidate was scored with, and min(first, second) of that
+    pair.  ``held`` is ``_optimal_seed_gains`` of the draws; without it the
+    call makes them.  They are alpha-free, so the Monte Carlo driver makes
+    them once per chunk and reuses them at every alpha probe.  Per call,
+    only the seeds' combiners are solved again at kappa(alpha); the t_mrt
+    bracket end, the leakage probes and their scoring are per call too.
 
     Scores the matched (``t = t_mrt``) and transmit-ZF (``t = 0``) seeds,
     then walks each row toward the crossing of the first hop ``c1 (S - t)``
@@ -508,17 +499,14 @@ def _optimal_wt_batch(
     root-find's residual.
     """
     n, m_t = hrd.shape
-    if held:
-        s, a, vanished, *seeds = held
-        matched, held_tzf = seeds[:5], seeds[5:]
-    else:
-        s, a, vanished, *matched = _matched_seed_gains(hsr, hrd, hrr)
+    s, a, vanished, *seeds = held or _optimal_seed_gains(hsr, hrd, hrr)
+    matched, tzf_seed = seeds[:5], seeds[5:]
     best_wt = matched[0].copy()
-    first_mrt, second_hi = _hops_from_wt_gains(params, hsr, s, matched)
+    first_mrt, second_hi, best_wr = _hops_from_wt_gains(params, hsr, s, matched)
     best_gamma = np.minimum(first_mrt, second_hi)
 
     if m_t == 1:
-        return best_wt, best_gamma
+        return (best_wr, best_wt), best_gamma
 
     # Each realization's bracket [lo, hi] with the achieved first hop at lo
     # and second hop at hi; ``rows`` indexes the realizations still undecided.
@@ -534,29 +522,26 @@ def _optimal_wt_batch(
         return rows[keep]
 
     def score(rows: np.ndarray, h_sr: np.ndarray, gains: tuple) -> tuple[np.ndarray, np.ndarray]:
-        first, second = _hops_from_wt_gains(params, h_sr, s[rows], gains)
+        first, second, wr = _hops_from_wt_gains(params, h_sr, s[rows], gains)
         gamma = np.minimum(first, second)
         better = gamma > best_gamma[rows]
-        best_wt[rows[better]] = gains[0][better]
-        best_gamma[rows[better]] = gamma[better]
+        won = rows[better]
+        best_wr[won], best_wt[won], best_gamma[won] = wr[better], gains[0][better], gamma[better]
         return first, second
 
     # Without a loop direction the matched combiner picks up no leakage, so
     # the matched beamformer is already optimal: search only the others.
     rows = undecided(np.flatnonzero(~vanished))
     if rows.size == 0:
-        return best_wt, best_gamma
+        return (best_wr, best_wt), best_gamma
 
     # The bracket starts as [0, t_mrt], where t_mrt is the matched
     # beamformer's own leakage level, and the transmit-ZF seed (t = 0) is
-    # scored at its lower end; without held seeds it is made for these rows
-    # only.
+    # scored at its lower end.
     _, _, nv2, vh, _ = matched
     kts = params.kappa * params.p_s / d1t * s[rows]
     hi[rows] = kts * np.abs(vh[rows]) ** 2 / (1.0 + kts * nv2[rows])
-    tzf = (tuple(x[rows] for x in held_tzf) if held
-           else _tzf_seed_gains(*(x[rows] for x in (hsr, hrd, hrr, a, vanished))))
-    first_lo[rows] = score(rows, hsr[rows], tzf)[0]
+    first_lo[rows] = score(rows, hsr[rows], tuple(x[rows] for x in tzf_seed))[0]
     rows = undecided(rows)
 
     # g = second - first rises through the crossing.  Each row starts at the
@@ -592,4 +577,4 @@ def _optimal_wt_batch(
         hi[rows[~up]], second_hi[rows[~up]] = step[~up], second[~up]
         rows = undecided(rows[moving])
 
-    return best_wt, best_gamma
+    return (best_wr, best_wt), best_gamma

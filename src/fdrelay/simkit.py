@@ -231,20 +231,25 @@ def estimate_outage(
     estimate with that seed does, and is deterministic for any thread count.
     Each worker draws the chunks it scores and turns them into gains with
     ``_trial_gains``; ``gains`` instead hands over gains already made:
-    ``_chunk_gains`` of this scheme for chunks 0, 1, ... of ``seed``, at
-    least enough for ``n_trials``, whose leading rows are scored, so the
-    estimate is exactly the one it would draw itself.  An outage sweep
-    passes gains built once per scheme and an alpha search gains built once
-    per search, so neither draws a chunk again for each point or probe.
+    ``_chunk_gains`` of this scheme for chunks 0, 1, ... of ``seed``, with
+    at least the chunks and rows of ``n_trials``, whose leading rows are
+    scored, so the estimate is exactly the one it would draw itself.  An
+    outage sweep passes gains built once per scheme and an alpha search
+    gains built once per search, so neither draws a chunk again for each
+    point or probe.
     """
     _check_integer("n_trials", n_trials, 1)
     _check_integer("threads", threads, 1)
     _check_integer("seed", seed, 0)
     check_feasible(scheme, params.m_r, params.m_t)
     n_chunks = -(-n_trials // _CHUNK)
-    if gains is not None and len(gains) < n_chunks:
+    last_rows = n_trials - (n_chunks - 1) * _CHUNK
+    if gains is not None and (
+        len(gains) < n_chunks or len(gains[n_chunks - 1][0]) < last_rows
+    ):
         raise ValueError(
-            f"gains holds {len(gains)} chunks, {n_trials} trials need {n_chunks}"
+            f"gains holds too few trials: {n_trials} trials need {n_chunks} chunks,"
+            f" the last with {last_rows} rows"
         )
 
     def count_chunk(chunk_idx: int) -> int:

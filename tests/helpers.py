@@ -250,7 +250,7 @@ def hops_for_wt(
     params: SystemParams, hsr: np.ndarray, hrd: np.ndarray, hrr: np.ndarray, wt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """First- and second-hop SINR achieved by ``wt`` with its optimal combiner."""
-    return _hops_from_wt_gains(params, hsr, _sq_norms(hsr), _wt_gains(hsr, hrd, hrr, wt))
+    return _hops_from_wt_gains(params, hsr, _sq_norms(hsr), _wt_gains(hsr, hrd, hrr, wt))[:2]
 
 
 def cold_leakage_probe(

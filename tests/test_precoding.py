@@ -226,14 +226,23 @@ class TestOptimal:
 
     def test_batch_rows_equal_the_per_draw_search(self):
         # Each row of the multiplier root-find stops once it meets the
-        # residual, so a draw's optimal SINR does not depend on the draws
-        # sharing its batch.
+        # residual, so a draw's optimal pair and SINR do not depend on the
+        # draws sharing its batch, and the combiner returned with a
+        # beamformer is the closed-form one of its gains.
+        from fdrelay import precoding
+
         params = make_params(1, 4, 10.0, sigma2_li=3.0)
         hsr, hrd, hrr = (x[:400] for x in _chunk_channels(params, 1, 0))
-        _, g_batch = _optimal_wt_batch(params, hsr, hrd, hrr)
+        (wr_batch, wt_batch), g_batch = _optimal_wt_batch(params, hsr, hrd, hrr)
+        gains = precoding._wt_gains(hsr, hrd, hrr, wt_batch)
+        wr_gains = precoding._combiner(params, hsr, precoding._sq_norms(hsr), gains)
+        assert np.array_equal(wr_batch, wr_gains)
         for i in range(400):
             ch = ChannelRealization(hsr[i], hrd[i], hrr[i])
-            assert e2e_sinr(ch, params, optimal(ch, params)).e2e == g_batch[i], i
+            pair = optimal(ch, params)
+            assert np.array_equal(pair.w_r, wr_batch[i]), i
+            assert np.array_equal(pair.w_t, wt_batch[i]), i
+            assert e2e_sinr(ch, params, pair).e2e == g_batch[i], i
 
     @pytest.mark.parametrize("params", [
         four_antenna_params(), make_params(2, 3, 1e3, sigma2_li=0.3),
@@ -358,7 +367,7 @@ class TestOptimal:
 
         monkeypatch.setattr(precoding, "_wt_at_leakage", nan_rows)
         with np.errstate(invalid="ignore"):
-            wt, gamma = _optimal_wt_batch(params, hsr, hrd, hrr, resolve_above=resolve_above)
+            (_, wt), gamma = _optimal_wt_batch(params, hsr, hrd, hrr, resolve_above=resolve_above)
         assert calls and calls[0] > 0
         assert not np.array_equal(wt_seeds, matched)
         assert np.array_equal(wt, wt_seeds)

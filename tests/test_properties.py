@@ -261,8 +261,8 @@ def test_pruned_search_rows_move_with_their_draws():
     ordered = np.sort(g_full)
     perm = np.random.default_rng(0).permutation(hsr.shape[0])
     for th in (None, 0.5 * (ordered[63] + ordered[64])):
-        wt, gamma = _optimal_wt_batch(params, hsr, hrd, hrr, resolve_above=th)
-        wt_p, gamma_p = _optimal_wt_batch(
+        (_, wt), gamma = _optimal_wt_batch(params, hsr, hrd, hrr, resolve_above=th)
+        (_, wt_p), gamma_p = _optimal_wt_batch(
             params, hsr[perm], hrd[perm], hrr[perm], resolve_above=th
         )
         assert np.array_equal(wt_p, wt[perm]) and np.array_equal(gamma_p, gamma[perm]), th

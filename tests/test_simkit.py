@@ -28,6 +28,7 @@ from fdrelay.simkit import (
     _CHUNK,
     _chunk_channels,
     _chunk_gains,
+    _held_gains,
     _search_alpha_batch,
     _sinr_batch,
     _sinr_from_gains,
@@ -144,6 +145,12 @@ class TestEstimateOutage:
             estimate_outage(params, Scheme.TZF, _CHUNK + 1, 8, gains=gains)
         with pytest.raises(ValueError, match="gains"):
             estimate_outage(params, Scheme.TZF, 10, 8, gains=[])
+        # Enough chunks, but the last holds 808 of the 1 308 rows needed.
+        params = make_params(2, 2)
+        held = _held_gains(params, Scheme.TZF, 9000, 3, threads=1)
+        assert [len(chunk[0]) for chunk in held] == [_CHUNK, 808]
+        with pytest.raises(ValueError, match="gains"):
+            estimate_outage(params, Scheme.TZF, 9500, 3, gains=held)
 
     def test_infeasible_scheme(self):
         with pytest.raises(InfeasibleSchemeError):
