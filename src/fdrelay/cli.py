@@ -8,6 +8,7 @@ with per-scheme optima), ``validate`` (consistency suite).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -51,7 +52,12 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["n_trials"] = args.trials
     if args.threads is not None:
         overrides["threads"] = args.threads
-    return replace(cfg, **overrides) if overrides else cfg
+    cfg = replace(cfg, **overrides) if overrides else cfg
+    # Checked before any work starts, not when the finished run is written.
+    folder = os.path.dirname(cfg.output_path) or os.curdir
+    if not os.path.isdir(folder):
+        raise ConfigError(f"output directory {folder!r} does not exist")
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:

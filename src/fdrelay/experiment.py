@@ -128,10 +128,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown output kinds {bad}; valid: {_OUTPUT_KINDS}")
         if self.threshold_mode not in _THRESHOLD_MODES:
             raise ConfigError(f"threshold_mode must be one of {_THRESHOLD_MODES}")
-        for name in ("n_trials", "threads", "n_trials_optimal"):
-            count = getattr(self, name)
-            if count is not None and count < 1:
-                raise ConfigError(f"{name} must be positive")
+        # Checked here, not in from_dict, so that a config built in Python or
+        # by dataclasses.replace (the CLI overrides) is held to the JSON rules.
+        for name in ("n_trials", "seed", "threads", "n_trials_optimal"):
+            value = getattr(self, name)
+            if value is not None or name != "n_trials_optimal":
+                value = _integer(name, value)
+                object.__setattr__(self, name, value)
+                if value < 1 and name != "seed":
+                    raise ConfigError(f"{name} must be positive")
+        if not isinstance(self.json_mirror, bool):
+            raise ConfigError(f"json_mirror must be true or false, got {self.json_mirror!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         kind = self.sweep_kind()
@@ -195,27 +202,18 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config fields: {sorted(unknown)}")
             params = SystemParams.from_dict(data["params"])
             schemes = tuple(Scheme(s) for s in data["schemes"])
-            json_mirror = data.get("json_mirror", False)
-            if not isinstance(json_mirror, bool):
-                raise ConfigError(
-                    f"json_mirror must be true or false, got {json_mirror!r}"
-                )
             return cls(
                 params=params,
                 schemes=schemes,
                 sweep=dict(data["sweep"]),
-                n_trials=_integer("n_trials", data["n_trials"]),
-                seed=_integer("seed", data["seed"]),
+                n_trials=data["n_trials"],
+                seed=data["seed"],
                 outputs=tuple(data["outputs"]),
                 output_path=str(data["output_path"]),
                 threshold_mode=str(data.get("threshold_mode", "fixed")),
-                n_trials_optimal=(
-                    _integer("n_trials_optimal", data["n_trials_optimal"])
-                    if data.get("n_trials_optimal") is not None
-                    else None
-                ),
-                threads=_integer("threads", data.get("threads", 1)),
-                json_mirror=json_mirror,
+                n_trials_optimal=data.get("n_trials_optimal"),
+                threads=data.get("threads", 1),
+                json_mirror=data.get("json_mirror", False),
             )
         except ConfigError:
             raise

@@ -14,9 +14,10 @@ kernels of :mod:`fdrelay.precoding` and :mod:`fdrelay.sinr`; the
 per-realization API there is their n = 1 wrapper, so it computes the same
 numbers one draw at a time.  A chunk is scored in two steps:
 ``_chunk_gains`` reduces its draws to what fixes each SINR at any alpha
-(a closed-form scheme's beamformers do not depend on alpha, so four gains
-per draw; the optimal search keeps the draws and builds its matched and
-transmit-ZF seeds, whose combiners alone move with alpha), and
+(a closed-form scheme's beamformers do not depend on alpha, and half
+duplex is the loop-free matched pair at twice the relay power, so four
+gains per draw; the optimal search keeps the draws and builds its matched
+and transmit-ZF seeds, whose combiners alone move with alpha), and
 ``_sinr_from_gains`` evaluates the SINR at the estimate's parameters.
 ``_trial_gains`` reduces the trials of a chunk's draws that an estimate
 reads, and ``_leading`` is the one rule for which rows of a chunk those are.
@@ -27,7 +28,7 @@ depend on, so it draws and reduces each scheme's trials once per sweep:
 drawing its own chunks, and every sweep point is ``estimate_outage`` on
 them.  One scheme's gains are held at a time, for all of its trials, so
 the held memory grows linearly with the trial count: 32 B per trial for a
-full-duplex closed-form scheme, 16 B for half duplex, while the optimal
+full-duplex closed-form scheme, 24 B for half duplex, while the optimal
 scheme's gains are its draws plus its two seeds (361 B per trial at 2x2,
 777 B at 4x4).
 
@@ -37,11 +38,10 @@ refinement), written once as ``_alpha_search``.  The kernel
 only on (seed, m_r, m_t, sigma2_li), never on alpha, so each call draws the
 chunks of its largest trial count once; each scheme's search turns the
 chunks it reads into gains once and scores all its probes on them.
-The schemes' whole searches run on one pool of ``threads`` workers, the
-optimal scheme's first; side by side, each search scores on its own worker,
-while a lone search splits each estimate's chunks over all the threads.
-``optimize_alpha`` is its n = 1 wrapper, and the throughput sweep of
-:mod:`fdrelay.experiment` makes one batched call.
+Each whole search runs on one worker, the schemes' searches side by side
+on ``threads`` workers, the optimal scheme's first; a lone search runs on
+the calling thread.  ``optimize_alpha`` is its n = 1 wrapper, and the
+throughput sweep of :mod:`fdrelay.experiment` makes one batched call.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .precoding import (
     _optimal_wt_batch,
     check_feasible,
 )
-from .sinr import _fd_gains_batch, _fd_hops_from_gains, _hd_gains_batch, _hd_snr_from_gains
+from .sinr import _fd_gains_batch, _fd_hops_from_gains, _hd_gains_batch
 
 __all__ = [
     "OutageEstimate",
@@ -128,7 +128,9 @@ def _chunk_gains(
     """The per-draw quantities that fix each realization's SINR at any alpha.
 
     For a closed-form scheme these are the four gains of its beamformers
-    (``sinr._fd_gains_batch``), for half duplex ||h_sr||^2 and ||h_rd||^2.
+    (``sinr._fd_gains_batch``), for half duplex the same four gains of the
+    loop-free matched pair at twice the relay power
+    (``sinr._hd_gains_batch``: S, S, zeros, 2 ||h_rd||^2).
     The optimal search solves its beamformers at each kappa(alpha), so its
     are the draws followed by ``precoding._optimal_seed_gains``: S, the loop
     direction and where it vanishes, and the matched and transmit-ZF seed
@@ -165,9 +167,9 @@ def _held_gains(
     The list is the ``gains`` of ``estimate_outage``: a sweep builds it once
     per scheme and scores each of its points on it.  ``threads`` workers
     each draw and reduce their own chunks.  It grows linearly with
-    ``n_trials``: 32 B per trial for a full-duplex closed-form scheme, 16 B
-    for half duplex, and for the optimal scheme its draws and seeds (361 B
-    per trial at 2x2, 777 B at 4x4).
+    ``n_trials``: 32 B per trial for a full-duplex closed-form scheme, 24 B
+    for half duplex (whose two S gains are one array), and for the optimal
+    scheme its draws and seeds (361 B per trial at 2x2, 777 B at 4x4).
     """
     return _map_chunks(
         lambda chunk_idx: _trial_gains(
@@ -178,7 +180,7 @@ def _held_gains(
 
 
 def _map_chunks(work: Callable[[int], _T], n_chunks: int, threads: int) -> list[_T]:
-    """``work`` of chunks 0 .. n_chunks - 1 in order, split over ``threads`` workers."""
+    """``work`` of chunks or searches 0 .. n_chunks - 1, in order, on ``threads`` workers."""
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(work, range(n_chunks)))
@@ -189,8 +191,6 @@ def _sinr_from_gains(
     params: SystemParams, scheme: Scheme, gains: tuple[np.ndarray, ...]
 ) -> np.ndarray:
     """End-to-end SINR of each realization from its ``_chunk_gains``."""
-    if scheme is Scheme.HALF_DUPLEX:
-        return _hd_snr_from_gains(params, *gains)
     if scheme is Scheme.OPTIMAL:
         # Searching only realizations whose outage indicator is undecided is
         # exact for Pr(gamma < gamma_th) and skips most of the work.
@@ -314,10 +314,9 @@ def _eval_point(
     n_trials: int,
     seed: int,
     gains: Sequence[tuple[np.ndarray, ...]],
-    threads: int,
 ) -> ThroughputPoint:
     p_alpha = params_at_alpha(params, alpha, threshold_mode)
-    est = estimate_outage(p_alpha, scheme, n_trials, seed, threads=threads, gains=gains)
+    est = estimate_outage(p_alpha, scheme, n_trials, seed, gains=gains)
     return ThroughputPoint(
         alpha=alpha,
         outage=est.p_hat,
@@ -375,13 +374,12 @@ def _search_alpha_batch(
 
     Every search makes ``len(alphas) + 2 + _REFINE_ITERS`` probes.  The
     chunks of ``seed`` (an integer >= 0) for ``max(trials)`` are drawn once,
-    before the first probe.  Each search turns the chunks its trial count
-    reads into its scheme's ``_chunk_gains`` once, on its own worker, and
-    scores every probe on them, so each probe is the plain
-    ``estimate_outage`` at its alpha.  One pool of ``threads`` workers runs
-    the whole searches, the costly optimal one first: side by side each
-    scores on one thread, and a lone search splits each estimate's chunks
-    over all of them.
+    on the calling thread, before the first probe.  Each search turns the
+    chunks its trial count reads into its scheme's ``_chunk_gains`` once
+    and scores every probe on them, so each probe is the plain
+    ``estimate_outage`` at its alpha, scored on the search's one thread.
+    ``_map_chunks`` runs the whole searches on ``threads`` workers, the
+    costly optimal one first; a lone search runs on the calling thread.
     """
     _check_integer("threads", threads, 1)
     _check_integer("seed", seed, 0)
@@ -394,9 +392,11 @@ def _search_alpha_batch(
     for scheme in schemes:
         check_feasible(scheme, params.m_r, params.m_t)
     n_chunks = -(-max(trials, default=0) // _CHUNK)
+    # Drawn on the calling thread: drawing the chunks, or building each
+    # search's gains, on the workers raises the 4x4 benchmark's peak RSS by
+    # several MB with no more memory live, and with one glibc malloc arena
+    # the gap all but closes, so it is the workers' own arenas that grow.
     chunks = [_chunk_channels(params, seed, j) for j in range(n_chunks)]
-
-    per_estimate = threads if len(schemes) == 1 else 1
 
     def search(i: int) -> AlphaSearch:
         scheme, n_trials = schemes[i], trials[i]
@@ -405,13 +405,12 @@ def _search_alpha_batch(
             for j in range(-(-n_trials // _CHUNK))
         ]
         return _alpha_search(lambda alpha: _eval_point(
-            params, scheme, alpha, threshold_mode, n_trials, seed, gains, per_estimate
+            params, scheme, alpha, threshold_mode, n_trials, seed, gains
         ), alphas)
 
     order = sorted(range(len(schemes)), key=lambda i: schemes[i] is not Scheme.OPTIMAL)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {i: pool.submit(search, i) for i in order}
-        return [futures[i].result() for i in range(len(schemes))]
+    found = dict(zip(order, _map_chunks(lambda k: search(order[k]), len(order), threads)))
+    return [found[i] for i in range(len(schemes))]
 
 
 def optimize_alpha(
@@ -422,22 +421,19 @@ def optimize_alpha(
     seed: int = 0,
     *,
     threshold_mode: str = "fixed",
-    threads: int = 1,
 ) -> ThroughputPoint:
     """Maximize the delay-constrained throughput over the harvesting split.
 
     Runs ``_search_alpha_batch`` for the one scheme on a uniform open grid of
-    ``grid`` points over (0, 1); each estimate splits its chunks over the
-    threads.  Every probe is scored on the same channel draws, those of
-    ``seed``, so R(alpha) is compared across probes without draw-to-draw
-    noise; the returned point is the best observed anywhere, ties broken
-    toward smaller alpha.  An end point's refinement bracket reaches halfway
-    to the boundary (0 or 1).
+    ``grid`` points over (0, 1), on the calling thread.  Every probe is
+    scored on the same channel draws, those of ``seed``, so R(alpha) is
+    compared across probes without draw-to-draw noise; the returned point is
+    the best observed anywhere, ties broken toward smaller alpha.  An end
+    point's refinement bracket reaches halfway to the boundary (0 or 1).
     """
     _check_integer("grid", grid, 8)
     alphas = [(i + 1) / (grid + 1) for i in range(grid)]
     (found,) = _search_alpha_batch(
-        params, [scheme], alphas, [n_trials], seed,
-        threshold_mode=threshold_mode, threads=threads,
+        params, [scheme], alphas, [n_trials], seed, threshold_mode=threshold_mode
     )
     return found.best

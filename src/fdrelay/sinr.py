@@ -1,17 +1,18 @@
 """Exact end-to-end SINR evaluation for full-duplex and half-duplex relaying.
 
-Both formulas, full duplex for any combiner/beamformer rows and the
-half-duplex baseline, are batched (leading axis = independent realizations)
-and split in two steps: per-draw gains that do not depend on the system
-parameters (``_fd_gains_batch``, ``_hd_gains_batch``), then the formula that
-turns gains into SINR (``_fd_hops_from_gains``, ``_hd_snr_from_gains``), so
-the Monte Carlo engine can score many harvesting splits on gains computed
-once.  The n = 1 wrappers ``e2e_sinr`` and ``hd_snr`` compose the two
-steps; the optimal search makes each candidate's gains from its alpha-free
-vectors (``precoding._wt_gains``) and hands them to ``_fd_hops_from_gains``.
+One hop formula serves every scheme, batched (leading axis = independent
+realizations) and split in two steps: per-draw gains that do not depend on
+the system parameters (``_fd_gains_batch`` for any combiner/beamformer rows,
+``_hd_gains_batch`` for the half-duplex baseline, the loop-free matched pair
+at twice the relay power), then ``_fd_hops_from_gains``, which turns gains
+into hop SINRs, so the Monte Carlo engine can score many harvesting splits
+on gains computed once.  The n = 1 wrappers ``e2e_sinr`` and ``hd_snr``
+compose the two steps; the optimal search makes each candidate's gains from
+its alpha-free vectors (``precoding._wt_gains``) and hands them to
+``_fd_hops_from_gains``.
 
-The full-duplex expression is evaluated in its general form for every scheme;
-the scheme-specific algebraic reductions live only in the analytic outage
+The expression is evaluated in its general form for every scheme; the
+scheme-specific algebraic reductions live only in the analytic outage
 module, so Monte Carlo results double as an independent check of those
 reductions.
 """
@@ -83,29 +84,18 @@ def _fd_hops_from_gains(
 
 def _hd_gains_batch(
     hsr: np.ndarray, hrd: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Alpha-free gains of the half-duplex baseline: ||h_sr||^2 and ||h_rd||^2."""
-    return np.sum(np.abs(hsr) ** 2, axis=1), np.sum(np.abs(hrd) ** 2, axis=1)
-
-
-def _hd_snr_from_gains(
-    params: SystemParams, s: np.ndarray, r: np.ndarray
-) -> np.ndarray:
-    """End-to-end SNR of the half-duplex baseline from its gains.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four ``_fd_gains_batch`` gains of the half-duplex baseline.
 
     Harvesting is unchanged, but the active time is split evenly between the
     two hops, so the relay spends its harvested energy over half the window
-    (the factor 2) and there is no loop interference:
-
-        gamma = ||h_sr||^2 * min(c1, 2 c3 ||h_rd||^2),
-
-    with c1 = p_s / d1^tau and c3 = p_s kappa / (d1^tau d2^tau).
+    and there is no loop interference: the matched pair with no leakage and
+    twice the relay-destination gain, (S, S, 0, 2 ||h_rd||^2).  The hops
+    then give gamma = ||h_sr||^2 * min(c1, 2 c3 ||h_rd||^2), with
+    c1 = p_s / d1^tau and c3 = p_s kappa / (d1^tau d2^tau).
     """
-    d1t = params.d1**params.tau
-    d2t = params.d2**params.tau
-    c1 = params.p_s / d1t
-    c3 = params.kappa * params.p_s / (d1t * d2t)
-    return s * np.minimum(c1, 2.0 * c3 * r)
+    s = np.sum(np.abs(hsr) ** 2, axis=1)
+    return s, s, np.zeros_like(s), 2.0 * np.sum(np.abs(hrd) ** 2, axis=1)
 
 
 def e2e_sinr(
@@ -132,5 +122,7 @@ def e2e_sinr(
 
 def hd_snr(ch: ChannelRealization, params: SystemParams) -> float:
     """End-to-end SNR of the half-duplex baseline for one realization."""
-    gains = _hd_gains_batch(ch.h_sr[None, :], ch.h_rd[None, :])
-    return float(_hd_snr_from_gains(params, *gains)[0])
+    first, second, _ = _fd_hops_from_gains(
+        params, *_hd_gains_batch(ch.h_sr[None, :], ch.h_rd[None, :])
+    )
+    return float(min(first[0], second[0]))

@@ -4,7 +4,7 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -108,6 +108,20 @@ class TestConfig:
                           n_trials_optimal=500.0, json_mirror=False)
         assert (cfg.n_trials, cfg.seed, cfg.threads, cfg.n_trials_optimal) == (2000, 3, 2, 500)
         assert all(type(v) is int for v in (cfg.n_trials, cfg.seed, cfg.threads))
+        # The same rules hold for a config built in Python and for the
+        # dataclasses.replace the CLI overrides go through.
+        given = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+        for name, value in (("n_trials", 2.5), ("seed", 1.5), ("threads", 2.5),
+                            ("threads", True), ("n_trials_optimal", 500.5),
+                            ("json_mirror", 1)):
+            with pytest.raises(ConfigError, match=name):
+                ExperimentConfig(**{**given, name: value})
+            with pytest.raises(ConfigError, match=name):
+                replace(cfg, **{name: value})
+        again = replace(cfg, n_trials=3000.0, seed=np.int64(4), threads=3.0)
+        assert (again.n_trials, again.seed, again.threads) == (3000, 4, 3)
+        assert all(type(v) is int for v in (again.n_trials, again.seed, again.threads))
+        assert ExperimentConfig(**{**given, "n_trials_optimal": None}).n_trials_optimal is None
 
     def test_trials_for_optimal_scheme(self):
         cfg = base_config(n_trials=200_000)
@@ -423,6 +437,26 @@ class TestOutputsAndCli:
         assert cli_main([command, "--config", str(cfg_path), "--seed", "-1"]) == 2
         cfg_path.write_text(json.dumps({**cfg.to_dict(), "seed": -1}))
         assert cli_main([command, "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["outage", "throughput", "validate"])
+    def test_cli_missing_output_directory_exit_two(self, tmp_path, command, monkeypatch,
+                                                    capsys):
+        # Rejected while the config loads, before any sweep or check runs.
+        from fdrelay import cli
+
+        for runner in ("run_outage_sweep", "run_throughput_sweep", "run_validation"):
+            monkeypatch.setattr(cli, runner, lambda cfg: pytest.fail("work started"))
+        sweep = {"alpha": {"points": 3}} if command == "throughput" else {"snr_db": [10.0]}
+        missing = tmp_path / "no" / "such"
+        cfg = base_config(sweep=sweep, output_path=str(missing / "x.csv"), n_trials=100)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert cli_main([command, "--config", str(cfg_path)]) == 2
+        assert "output directory" in capsys.readouterr().err
+        cfg_path.write_text(json.dumps({**cfg.to_dict(), "output_path": "x.csv"}))
+        assert cli_main([command, "--config", str(cfg_path),
+                         "--out", str(missing / "y.csv")]) == 2
+        assert not missing.parent.exists()
 
     def test_cli_throughput(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

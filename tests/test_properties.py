@@ -2,9 +2,10 @@
 built on it, the hop shapes along the leakage range that make the optimal
 search's crossing exact, the envelope-theorem slope of the hop gap that
 its Newton steps take, the bracket ceiling that prunes it, the search's
-independence of batch order, optimal-search dominance, the rotation
-invariance of every scheme's SINR, the batched SINR kernel against its
-n = 1 wrappers, and the monotonicity of every analytic outage CDF."""
+independence of batch order, optimal-search dominance and its per-draw
+ceiling, the rotation invariance of every scheme's SINR, the batched SINR
+kernel against its n = 1 wrappers, and the monotonicity of every analytic
+outage CDF."""
 
 import numpy as np
 import pytest
@@ -299,6 +300,29 @@ def test_optimal_dominates_and_wrapper_matches_batch(m_r, m_t, seed, sigma2_li, 
             except InfeasibleSchemeError:
                 continue
             assert g_opt >= e2e_sinr(ch, params, pair).e2e - 1e-6, scheme
+
+
+@pytest.mark.parametrize("m_r", range(1, 7))
+@pytest.mark.parametrize("m_t", range(1, 7))
+@settings(PROPERTY, max_examples=3)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sigma2_li=st.sampled_from([0.0, 0.03, 0.3, 3.0]),
+    p_s=st.sampled_from([1.0, 10.0, 100.0]),
+    alpha=st.sampled_from([0.2, 0.5, 0.8]),
+)
+def test_optimal_never_beats_its_per_draw_ceiling(m_r, m_t, seed, sigma2_li, p_s, alpha):
+    # The upper half of the optimal scheme's sandwich, draw by draw: no unit
+    # pair passes more than ||h_sr||^2 of signal through the first hop or
+    # ||h_rd||^2 through the second, so gamma <= min(c1 S, c3 S ||h_rd||^2).
+    params = make_params(m_r, m_t, p_s, sigma2_li=sigma2_li, alpha=alpha)
+    hsr, hrd, hrr = (x[:1024] for x in _chunk_channels(params, seed, 0))
+    d1t, d2t = params.d1**params.tau, params.d2**params.tau
+    s = np.sum(np.abs(hsr) ** 2, axis=1)
+    ceiling = np.minimum(params.p_s / d1t * s, params.kappa * params.p_s / (d1t * d2t) * s
+                         * np.sum(np.abs(hrd) ** 2, axis=1))
+    _, gamma = _optimal_wt_batch(params, hsr, hrd, hrr)
+    assert np.all(gamma <= ceiling * (1.0 + 1e-12))
 
 
 def _unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -565,9 +565,9 @@ class TestLockstepSearch:
         with pytest.raises(ValueError):
             _search_alpha_batch(make_params(2, 2), [Scheme.TZF], SHORT_GRID, [1, 2], seed=0)
 
-    def test_lone_search_splits_estimates_and_side_by_side_ones_do_not(self, monkeypatch):
-        # One pool for every schedule: a lone search hands each estimate all
-        # the threads, searches side by side score on one thread each.
+    def test_every_estimate_scores_on_one_thread(self, monkeypatch):
+        # One schedule: each whole search runs on one thread, alone or side
+        # by side, and none of its estimates splits its chunks.
         seen = []
         original = simkit.estimate_outage
 
@@ -579,7 +579,7 @@ class TestLockstepSearch:
         params = make_params(2, 2)
         _search_alpha_batch(params, [Scheme.TZF], SHORT_GRID, [9000], seed=4, threads=3)
         probes = len(SHORT_GRID) + 2 + simkit._REFINE_ITERS
-        assert seen == [3] * probes
+        assert seen == [1] * probes
         seen.clear()
         _search_alpha_batch(params, ALL_SCHEMES, SHORT_GRID, [300, 2000, 2000, 2000, 2000],
                             seed=4, threads=2)
@@ -627,8 +627,6 @@ class TestThreadCounts:
         params = make_params(2, 2)
         with pytest.raises(ValueError, match="threads"):
             estimate_outage(params, Scheme.TZF, 10, seed=0, threads=threads)
-        with pytest.raises(ValueError, match="threads"):
-            optimize_alpha(params, Scheme.TZF, 10, grid=8, seed=0, threads=threads)
         with pytest.raises(ValueError, match="threads"):
             _search_alpha_batch(params, [Scheme.TZF, Scheme.RZF], SHORT_GRID, [10, 10],
                                 seed=0, threads=threads)
