@@ -130,17 +130,14 @@ class ExperimentConfig:
             raise ConfigError(f"threshold_mode must be one of {_THRESHOLD_MODES}")
         # Checked here, not in from_dict, so that a config built in Python or
         # by dataclasses.replace (the CLI overrides) is held to the JSON rules.
-        for name in ("n_trials", "seed", "threads", "n_trials_optimal"):
-            value = getattr(self, name)
-            if value is not None or name != "n_trials_optimal":
-                value = _integer(name, value)
-                object.__setattr__(self, name, value)
-                if value < 1 and name != "seed":
-                    raise ConfigError(f"{name} must be positive")
+        optional = () if self.n_trials_optimal is None else (("n_trials_optimal", 1),)
+        for name, least in (("n_trials", 1), ("seed", 0), ("threads", 1), *optional):
+            value = _integer(name, getattr(self, name))
+            if value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value}")
+            object.__setattr__(self, name, value)
         if not isinstance(self.json_mirror, bool):
             raise ConfigError(f"json_mirror must be true or false, got {self.json_mirror!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         kind = self.sweep_kind()
         grid = self.sweep[kind]
         if kind != "alpha":

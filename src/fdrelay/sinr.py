@@ -77,6 +77,9 @@ def _fd_hops_from_gains(
     d2t = params.d2**params.tau
     kps = params.kappa * params.p_s
     li = kps * s * leak
+    # A zero leak (half duplex) is no loop however large kappa p_s S is; an
+    # overflowed kps * s would otherwise make it inf * 0 = nan.
+    li[leak == 0] = 0.0
     first = params.p_s * sig / (li + d1t)
     second = kps / (d1t * d2t) * s * rd
     return first, second, li

@@ -127,6 +127,17 @@ class TestHalfDuplex:
             params.p_s / params.d1**params.tau * gain, rel=1e-12
         )
 
+    def test_overflowed_relay_gain_is_no_loop(self):
+        # kappa p_s = 9e308 overflows, so the second hop is infinite and a
+        # zero leak times the infinite kappa p_s S must not make a nan.
+        params = make_params(2, 2, 1e308, alpha=0.9)
+        ch = sample_channel(params, np.random.default_rng(4))
+        ch = ChannelRealization(0.1 * ch.h_sr, ch.h_rd, ch.h_rr)
+        c1, _, c3 = link_coefficients(params)
+        s = float(np.sum(np.abs(ch.h_sr) ** 2))
+        r = float(np.sum(np.abs(ch.h_rd) ** 2))
+        assert hd_snr(ch, params) == pytest.approx(s * min(c1, 2.0 * c3 * r), rel=1e-12)
+
     def test_zero_source_channel(self):
         params = make_params(2, 2)
         ch = ChannelRealization(
