@@ -90,6 +90,9 @@ class SystemParams:
         missing = fields - set(data)
         if missing:
             raise ValueError(f"missing SystemParams fields: {sorted(missing)}")
+        for name in fields:
+            if isinstance(data[name], bool) or not isinstance(data[name], numbers.Real):
+                raise ValueError(f"{name} must be a number, got {data[name]!r}")
         coerced = {name: float(data[name]) for name in fields}
         for name in ("m_r", "m_t"):
             if not coerced[name].is_integer():

@@ -126,6 +126,11 @@ class ExperimentConfig:
         bad = [k for k in self.outputs if k not in _OUTPUT_KINDS]
         if bad:
             raise ConfigError(f"unknown output kinds {bad}; valid: {_OUTPUT_KINDS}")
+        for name in ("schemes", "outputs"):
+            entries = [getattr(e, "value", e) for e in getattr(self, name)]
+            repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+            if repeated:
+                raise ConfigError(f"{name} lists {repeated} more than once")
         if self.threshold_mode not in _THRESHOLD_MODES:
             raise ConfigError(f"threshold_mode must be one of {_THRESHOLD_MODES}")
         # Checked here, not in from_dict, so that a config built in Python or

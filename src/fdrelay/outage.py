@@ -1,10 +1,21 @@
 """Analytic outage probabilities: exact single-integral CDFs and high-SNR laws.
 
 Each scheme's end-to-end SINR factors into independent Gamma/Beta pieces, so
-outage (the CDF of the SINR at the threshold) reduces to one tail integral
-over the source-relay channel gain.  The recurring normalized threshold is
+outage (the CDF of the SINR at the threshold z) reduces to one tail integral
+over the source-relay gain X ~ Gamma(m_r).  With the normalized threshold
 
-    lam = d1^tau * z / rho1.
+    lam = d1^tau * z / rho1,
+
+the first hop surely fails for X < lam, and beyond it the two hops fail
+independently given X = x:
+
+    F(z) = P(m_r, lam) + int_lam^inf [A + (1 - A) P(m2, c lam/x)] f_X(x) dx,
+
+where A = A(x) is the chance that the first hop fails given x, P(m2, c lam/x)
+that the second hop does, and f_X the Gamma(m_r) density.  Each scheme
+fixes the second-hop order m2, the coefficient c (d2^tau/kappa, halved for
+half duplex) and A: 0 for transmit ZF and half duplex, (lam/x)^(m_r-1) for
+receive ZF and e^-u(x) for MRC/MRT.
 
 High-SNR approximations expose the diversity orders: min(m_r, m_t - 1) for
 transmit ZF and min(m_r - 1, m_t) for receive ZF.  The MRC/MRT scheme keeps
@@ -128,32 +139,37 @@ def _inf_on_overflow(law: Callable[[OutageQuery], float]) -> Callable[[OutageQue
     return guarded
 
 
-def _gamma_min_cdf(
-    m_first: np.ndarray, m_second: np.ndarray, lam: np.ndarray, c: np.ndarray
+def _outage_cdf(
+    m_first: np.ndarray, m_second: np.ndarray, lam: np.ndarray, c: np.ndarray,
+    first_fails: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """CDF at ``lam`` of W * min(1, V/c) with W ~ Gamma(m_first), V ~ Gamma(m_second).
+    """The module's outage formula with m_r = ``m_first`` and m2 = ``m_second``,
+    one row per element of the arrays.
 
-    This is the common shape of the ZF-style outage integrals, one row per
-    element of the arrays.  Evaluated in deficiency form,
-
-        F = P(m_first, lam)
-            + int_lam^inf P(m_second, c*lam/x) x^(m_first-1) e^-x dx / Gamma(m_first),
-
-    whose terms are all small and positive at high SNR; the survival form
-    1 - int Q(...) would lose the tiny outage to cancellation.  Rows where
-    P(m_first, lam) rounds to 1 are 1, as no tail can change them, and are
-    not integrated; rows where lam underflows to 0 are the CDF at 0, which
-    is 0 (the integrand would start at 0 / 0).  The Gamma density is taken
-    in log space, so far from high SNR no row meets 0 * inf.
+    ``first_fails(x, live)`` gives A at the gains x of the rows ``live`` of
+    the arrays; None means A = 0, which makes F the CDF at ``lam`` of
+    W * min(1, V/c) with W ~ Gamma(m_first), V ~ Gamma(m_second).  The terms
+    are all small and positive at high SNR; the survival form
+    1 - int (1 - A) Q(...) would lose the tiny outage to cancellation.  Rows
+    where P(m_first, lam) rounds to 1 are 1, as no tail can change them, and
+    are not integrated; rows where lam underflows to 0 are the CDF at 0,
+    which is 0 (the integrand would start at 0 / 0).  The Gamma density is
+    taken in log space, so far from high SNR no row meets 0 * inf.
     """
     head = specfun.special.gammainc(m_first, lam)
     live = (lam > 0.0) & (head < 1.0)
     if not live.any():
         return head
     a, b, c_lam = m_first[live, None], m_second[live, None], (c * lam)[live, None]
-    tail, _ = integrate_semi_infinite_batch(
-        lambda x: specfun.special.gammainc(b, c_lam / x) * _gamma_weight(a, x), lam[live]
-    )
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        fails = specfun.special.gammainc(b, c_lam / x)
+        if first_fails is not None:
+            first = first_fails(x, live)
+            fails = first + (1.0 - first) * fails
+        return fails * _gamma_weight(a, x)
+
+    tail, _ = integrate_semi_infinite_batch(integrand, lam[live])
     head[live] = np.clip(head[live] + tail, 0.0, 1.0)
     return head
 
@@ -161,14 +177,12 @@ def _gamma_min_cdf(
 def outage_tzf_batch(queries: Sequence[OutageQuery]) -> np.ndarray:
     """Exact outage of the transmit-ZF scheme at each query.
 
-    With the loop fully nulled on the transmit side, the second hop keeps an
-    (m_t - 1)-dimensional matched gain, giving
-
-        F(z) = 1 - int_lam^inf Q(m_t - 1, (d2^tau/kappa) lam/x)
-                   x^(m_r-1) e^-x / Gamma(m_r) dx.
+    With the loop fully nulled on the transmit side, the first hop fails
+    only below lam (A = 0) and the second hop keeps an (m_t - 1)-dimensional
+    matched gain: the module formula with m2 = m_t - 1 and c = d2^tau/kappa.
     """
     m_r, m_t, lam, c = _columns(queries, Scheme.TZF)
-    return _gamma_min_cdf(m_r, m_t - 1, lam, c)
+    return _outage_cdf(m_r, m_t - 1, lam, c)
 
 
 def outage_tzf(q: OutageQuery) -> float:
@@ -222,27 +236,14 @@ def outage_rzf_batch(queries: Sequence[OutageQuery]) -> np.ndarray:
     """Exact outage of the receive-ZF scheme at each query.
 
     The projected combiner keeps a Beta(m_r - 1, 1) share of the first-hop
-    gain while the second hop keeps the full m_t-dimensional matched gain:
-
-        F(z) = 1 - Q(m_r, lam)
-               + (1/Gamma(m_r)) [ int_lam^inf P(m_t, (d2^tau/kappa) lam/x)
-                                      x^(m_r-1) e^-x dx
-                                  + lam^(m_r-1) int_lam^inf
-                                      Q(m_t, (d2^tau/kappa) lam/x) e^-x dx ].
+    gain x, which falls below lam with chance A = (lam/x)^(m_r-1), while the
+    second hop keeps the full m_t-dimensional matched gain: the module
+    formula with m2 = m_t and c = d2^tau/kappa.
     """
     m_r, m_t, lam, c = _columns(queries, Scheme.RZF)
-    out = _gamma_min_cdf(m_r, m_t, lam, c)
-    live = (out < 1.0) & (lam > 0.0)
-    if not live.any():
-        return out
-    b, c_lam = m_t[live, None], (c * lam)[live, None]
-    i_q, _ = integrate_semi_infinite_batch(
-        lambda x: specfun.special.gammaincc(b, c_lam / x) * np.exp(-x), lam[live]
+    return _outage_cdf(
+        m_r, m_t, lam, c, lambda x, live: (lam[live, None] / x) ** (m_r[live, None] - 1)
     )
-    m = m_r[live]
-    projected = lam[live] ** (m - 1) * i_q / np.exp(specfun.special.gammaln(m))
-    out[live] = np.clip(out[live] + projected, 0.0, 1.0)
-    return out
 
 
 def outage_rzf(q: OutageQuery) -> float:
@@ -280,40 +281,25 @@ def outage_rzf_asymptotic(q: OutageQuery) -> float:
 def outage_mrc_mrt_batch(queries: Sequence[OutageQuery]) -> np.ndarray:
     """Exact outage of the MRC/MRT scheme at each query, at every antenna pair.
 
-    Outage is a first-hop gain x below z/c1, a loop pickup above
-    u(x) = (c1 x/z - 1)/(c2 x), or a pickup below it and a short second hop:
-
-        F(z) = P(m_r, z/c1) + int_{z/c1}^inf [e^-u + F_loop(u) P(m_t, z/(c3 x))]
-                                  x^(m_r-1) e^-x / Gamma(m_r) dx
-
-    with F_loop = 1 - e^-u the Exp(1) CDF of the loop pickup
-    (``meijer_special_cdf``) and x the Gamma(m_r) first-hop gain; the
-    second-hop factor carries c3, the second-hop coefficient.  Every term is
-    positive, so a deep-tail outage keeps its relative accuracy.  Rows where
-    P(m_r, z/c1) rounds to 1 are 1 with no tail to integrate.
+    Given the first-hop gain x, the first hop fails when the loop pickup,
+    Exp(1) (``meijer_special_cdf``), exceeds u(x) = (x/lam - 1)/(c2 x), so
+    A = e^-u, with c2 the loop coefficient of ``link_coefficients``; with no
+    loop (c2 = 0) u is inf and A = 0.  The second hop keeps the full
+    m_t-dimensional matched gain: the module formula with m2 = m_t and
+    c = d2^tau/kappa.  Every term is positive, so a deep-tail outage keeps
+    its relative accuracy.
     """
-    m_r, m_t, _, _ = _columns(queries)
-    c1, c2, c3 = np.array([link_coefficients(q.params) for q in queries]).reshape(-1, 3).T
-    z = np.array([q.z for q in queries], dtype=float)
-    lower = z / c1
-    out = specfun.special.gammainc(m_r, lower)
-    live = out < 1.0
-    if not live.any():
-        return out
-    a, b = m_r[live, None], m_t[live, None]
-    k1, k2, k3, zl = c1[live, None], c2[live, None], c3[live, None], z[live, None]
+    m_r, m_t, lam, c = _columns(queries)
+    c2 = np.array([link_coefficients(q.params)[1] for q in queries], dtype=float)
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        # max() guards endpoint rounding (u >= 0 on x >= z/c1); with no loop
-        # (c2 = 0) u is inf, so the loop never fails
-        u = np.divide(np.maximum(k1 * x / zl - 1.0, 0.0), k2 * x,
+    def loop_fails(x: np.ndarray, live: np.ndarray) -> np.ndarray:
+        # max() guards endpoint rounding (u >= 0 on x >= lam)
+        k2 = c2[live, None]
+        u = np.divide(np.maximum(x / lam[live, None] - 1.0, 0.0), k2 * x,
                       out=np.full_like(x, np.inf), where=k2 > 0.0)
-        fails = np.exp(-u) - np.expm1(-u) * specfun.special.gammainc(b, zl / (k3 * x))
-        return fails * _gamma_weight(a, x)
+        return np.exp(-u)
 
-    tail, _ = integrate_semi_infinite_batch(integrand, lower[live])
-    out[live] = np.clip(out[live] + tail, 0.0, 1.0)
-    return out
+    return _outage_cdf(m_r, m_t, lam, c, loop_fails)
 
 
 def outage_mrc_mrt(q: OutageQuery) -> float:
@@ -324,15 +310,13 @@ def outage_mrc_mrt(q: OutageQuery) -> float:
 def outage_hd_batch(queries: Sequence[OutageQuery]) -> np.ndarray:
     """Exact outage of the half-duplex baseline at each query.
 
-    Structurally the transmit-ZF CDF with the second-hop order raised from
-    m_t - 1 to m_t and the harvested power doubled (energy spent over half
-    the window):
-
-        F(z) = 1 - int_lam^inf Q(m_t, (d2^tau/(2 kappa)) lam/x)
-                   x^(m_r-1) e^-x / Gamma(m_r) dx.
+    Structurally the transmit-ZF CDF (A = 0) with the second-hop order
+    raised from m_t - 1 to m_t and the harvested power doubled (energy spent
+    over half the window): the module formula with m2 = m_t and
+    c = d2^tau/(2 kappa).
     """
     m_r, m_t, lam, c = _columns(queries)
-    return _gamma_min_cdf(m_r, m_t, lam, c / 2.0)
+    return _outage_cdf(m_r, m_t, lam, c / 2.0)
 
 
 def outage_hd(q: OutageQuery) -> float:

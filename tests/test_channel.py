@@ -173,6 +173,17 @@ def test_params_reject_non_integral_and_non_finite(name, value):
         SystemParams.from_dict({**make_params().to_dict(), name: value})
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("m_r", True), ("m_t", False), ("p_s", "10"), ("alpha", "0.5"),
+     ("sigma2_li", None), ("gamma_th", [1.0]), ("r_c", True)],
+)
+def test_params_from_dict_rejects_bools_and_non_numbers(name, value):
+    # float() would read True as 1 and "10" as 10.0
+    with pytest.raises(ValueError, match=name):
+        SystemParams.from_dict({**make_params().to_dict(), name: value})
+
+
 @pytest.mark.parametrize("name", ["h_sr", "h_rd", "h_rr"])
 @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, -np.inf)])
 def test_realization_rejects_non_finite_entries(name, bad):

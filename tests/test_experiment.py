@@ -123,6 +123,20 @@ class TestConfig:
         assert all(type(v) is int for v in (again.n_trials, again.seed, again.threads))
         assert ExperimentConfig(**{**given, "n_trials_optimal": None}).n_trials_optimal is None
 
+    def test_repeated_schemes_or_outputs_are_rejected(self, tmp_path):
+        cfg = base_config(schemes=["tzf", "rzf"])
+        for name, value in (("schemes", ["tzf", "rzf", "tzf"]),
+                            ("outputs", ["analytic", "monte_carlo", "analytic"])):
+            with pytest.raises(ConfigError, match=name):
+                base_config(**{name: value})
+            bad = tmp_path / f"{name}.json"
+            bad.write_text(json.dumps({**cfg.to_dict(), name: value}))
+            assert cli_main(["outage", "--config", str(bad)]) == 2
+        with pytest.raises(ConfigError, match="schemes"):
+            replace(cfg, schemes=(Scheme.TZF, Scheme.TZF))
+        with pytest.raises(ConfigError, match="outputs"):
+            replace(cfg, outputs=("monte_carlo", "monte_carlo"))
+
     def test_trials_for_optimal_scheme(self):
         cfg = base_config(n_trials=200_000)
         assert cfg.trials_for(Scheme.TZF) == 200_000

@@ -22,6 +22,8 @@ from fdrelay import (
 )
 from fdrelay.errors import InfeasibleSchemeError
 from fdrelay.outage import (
+    _columns,
+    _outage_cdf,
     link_coefficients,
     outage_hd_batch,
     outage_mrc_mrt_batch,
@@ -408,3 +410,31 @@ class TestBatchedCdfs:
                         assert np.all((values >= 0.0) & (values <= 1.0)), (scheme, m_r, m_t)
                         # -3000 dB of SNR and +3000 dB of threshold: all in outage
                         assert values[0] == values[-1] == 1.0, (scheme, m_r, m_t)
+
+
+class TestCeiling:
+    def test_ceiling_cdf_bounds_every_full_duplex_cdf(self):
+        # The per-draw ceiling min(c1 S, c3 S ||h_rd||^2) keeps what each
+        # full-duplex scheme loses: TZF's nulled direction, RZF's projection
+        # and MRC/MRT's loop pickup.  So its CDF, the kernel with A = 0 at
+        # orders (m_r, m_t), is at most theirs, and is MRC/MRT's with no loop.
+        # Half duplex doubles the relay gain, so the ceiling does not bound it.
+        regimes = [dict(d2=d2, alpha=alpha, sigma2_li=sigma2_li)
+                   for d2 in (0.5, 1.0, 3.0) for alpha in (0.1, 0.5, 0.9)
+                   for sigma2_li in (0.0, 0.1, 1.0)]
+        for m_r in range(1, 5):
+            for m_t in range(1, 5):
+                queries = [q_at(make_params(m_r, m_t, 10.0 ** (db / 10.0), **kwargs))
+                           for kwargs in regimes for db in range(0, 61, 10)]
+                m_first, m_second, lam, c = _columns(queries)
+                ceiling = _outage_cdf(m_first, m_second, lam, c)
+                for scheme, batch, _ in BATCHED:
+                    if scheme is Scheme.HALF_DUPLEX:
+                        continue
+                    try:
+                        values = batch(queries)
+                    except InfeasibleSchemeError:
+                        continue
+                    assert np.all(ceiling <= values * (1.0 + 1e-12)), (scheme, m_r, m_t)
+                no_loop = np.array([q.params.sigma2_li == 0.0 for q in queries])
+                assert np.array_equal(ceiling[no_loop], outage_mrc_mrt_batch(queries)[no_loop])
