@@ -202,6 +202,13 @@ class ExperimentConfig:
             unknown = set(data) - known
             if unknown:
                 raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+            for name in ("schemes", "outputs"):
+                if not isinstance(data[name], (list, tuple)):
+                    raise ConfigError(f"{name} must be a list, got {data[name]!r}")
+            if not isinstance(data["output_path"], str):
+                raise ConfigError(
+                    f"output_path must be a string, got {data['output_path']!r}"
+                )
             params = SystemParams.from_dict(data["params"])
             schemes = tuple(Scheme(s) for s in data["schemes"])
             return cls(
@@ -211,7 +218,7 @@ class ExperimentConfig:
                 n_trials=data["n_trials"],
                 seed=data["seed"],
                 outputs=tuple(data["outputs"]),
-                output_path=str(data["output_path"]),
+                output_path=data["output_path"],
                 threshold_mode=str(data.get("threshold_mode", "fixed")),
                 n_trials_optimal=data.get("n_trials_optimal"),
                 threads=data.get("threads", 1),
@@ -331,23 +338,55 @@ def _asymptotic_outage(params: SystemParams, scheme: Scheme) -> float | None:
     return None
 
 
-def _paired_estimates(
-    points: list[SystemParams], scheme: Scheme, n_trials: int, seed: int, threads: int
-) -> list[OutageEstimate]:
-    """``estimate_outage`` of ``scheme`` at each of ``points``, which differ only
-    in what no draw depends on (not in m_r, m_t or sigma2_li).
+# The schemes whose outage estimates share one draw of each chunk.  Two per
+# group: one draw for all four closed-form schemes holds 80 B per trial and
+# raised the outage_curves benchmark's peak RSS from 73.8 MB to 84.5 MB
+# (+14%), where these pairs read 78.4 MB (+6%).  MRC/MRT and transmit ZF
+# also share their combiner gain, so the largest group holds 48 B per trial,
+# where transmit ZF with receive ZF, sharing only S, would hold 56 B.
+_DRAW_GROUPS = (
+    (Scheme.MRC_MRT, Scheme.TZF),
+    (Scheme.RZF, Scheme.HALF_DUPLEX),
+    (Scheme.OPTIMAL,),
+)
 
-    The scheme's gains of trials 0 .. n_trials - 1 of ``seed`` are built once,
-    on ``threads`` workers, and every point is scored on them, so each
-    estimate is the one ``estimate_outage`` would draw itself.  The points
-    are scored on the calling thread: a closed-form scheme's scoring is
-    cheap next to drawing, so a pool per estimate cost more than it saved,
-    and the optimal scheme's pruned search gained little from one (about
-    15% at 4x4 and nothing at 2x2, with two threads).  The gains are
-    dropped on return, before the caller builds another scheme's.
+
+def _paired_estimates(
+    points: list[SystemParams], trials: dict[Scheme, int], seed: int, threads: int
+) -> dict[Scheme, list[OutageEstimate]]:
+    """``estimate_outage`` at each of ``points`` of each scheme of ``trials``
+    that is feasible there, with its trial count; the points differ only in
+    what no draw depends on (not in m_r, m_t or sigma2_li).
+
+    The schemes are split into ``_DRAW_GROUPS``.  Each group's gains of
+    trials 0 .. max count - 1 of ``seed`` are built once, from one draw of
+    each chunk, on ``threads`` workers (``simkit._held_gains``: 48 B per
+    trial for MRC/MRT with transmit ZF, 40 B for receive ZF with half
+    duplex), and every point is scored on them, so each estimate is the one
+    ``estimate_outage`` would draw itself.  The points are scored on the
+    calling thread: a closed-form scheme's scoring is cheap next to drawing,
+    so a pool per estimate cost more than it saved, and the optimal scheme's
+    pruned search gained little from one (about 15% at 4x4 and nothing at
+    2x2, with two threads).  A group's gains are dropped before the next
+    group's are built.
     """
-    held = _held_gains(points[0], scheme, n_trials, seed, threads=threads)
-    return [estimate_outage(p, scheme, n_trials, seed, gains=held) for p in points]
+    m_r, m_t = points[0].m_r, points[0].m_t
+    estimates: dict[Scheme, list[OutageEstimate]] = {}
+    for group in _DRAW_GROUPS:
+        members = [s for s in group if s in trials and _is_feasible(s, m_r, m_t)]
+        if not members:
+            continue
+        n_held = max(trials[s] for s in members)
+        held = _held_gains(points[0], members, n_held, seed, threads=threads)
+        for scheme, gains in zip(members, held):
+            estimates[scheme] = [
+                estimate_outage(p, scheme, trials[scheme], seed, gains=gains)
+                for p in points
+            ]
+        # Freed here: rebinding them would keep this group's gains alive
+        # while the next group's are built.
+        del held, gains
+    return estimates
 
 
 _OUTAGE_COLUMNS = [
@@ -362,11 +401,12 @@ def run_outage_sweep(cfg: ExperimentConfig) -> SweepResult:
     Emits one row per (scheme, sweep point, output kind), in that nesting
     order; infeasible scheme/antenna combinations keep their rows with
     ``status = infeasible`` rather than being dropped.  The sweep moves only
-    p_s or gamma_th, on which no draw depends, so each feasible scheme's
-    Monte Carlo draws and reduces its trials once and scores every point on
-    them (``_paired_estimates``); each row is still the plain
-    ``estimate_outage`` at its point.  Likewise each feasible scheme's
-    analytic CDF is one batched call over every point (``_exact_outages``).
+    p_s or gamma_th, on which no draw depends, so the feasible schemes'
+    Monte Carlo draws each chunk once per draw group, reduces it once per
+    scheme and scores every point on that (``_paired_estimates``); each row
+    is still the plain ``estimate_outage`` at its point.  Likewise each
+    feasible scheme's analytic CDF is one batched call over every point
+    (``_exact_outages``).
     """
     kind_axis = cfg.sweep_kind()
     if kind_axis == "alpha":
@@ -375,14 +415,15 @@ def run_outage_sweep(cfg: ExperimentConfig) -> SweepResult:
     swept = [replace(cfg.params, **{moved: _from_db(kind_axis, float(point))})
              for point in cfg.sweep[kind_axis]]
 
+    estimates = {}
+    if "monte_carlo" in cfg.outputs:
+        estimates = _paired_estimates(
+            swept, {s: cfg.trials_for(s) for s in cfg.schemes}, cfg.seed, cfg.threads
+        )
     rows = []
     for scheme in cfg.schemes:
         feasible = _is_feasible(scheme, cfg.params.m_r, cfg.params.m_t)
-        estimates, exact = [], None
-        if feasible and "monte_carlo" in cfg.outputs:
-            estimates = _paired_estimates(
-                swept, scheme, cfg.trials_for(scheme), cfg.seed, cfg.threads
-            )
+        exact = None
         if feasible and "analytic" in cfg.outputs:
             exact = _exact_outages(scheme, swept)
         for i, p in enumerate(swept):
@@ -399,8 +440,8 @@ def run_outage_sweep(cfg: ExperimentConfig) -> SweepResult:
                 if not feasible:
                     row["status"] = "infeasible"
                 elif out_kind == "monte_carlo":
-                    row["p_out"] = estimates[i].p_hat
-                    row["std_err"] = estimates[i].std_err
+                    row["p_out"] = estimates[scheme][i].p_hat
+                    row["std_err"] = estimates[scheme][i].std_err
                 elif out_kind == "analytic":
                     row["analytic"] = exact[1][i] if exact else None
                 else:
@@ -534,14 +575,11 @@ def _mc_vs_exact(pairs, snrs_db, n_trials: int, seed: int, threads: int) -> list
     out: list[tuple] = []
     for m_r, m_t in pairs:
         swept = [_fig1_params(m_r, m_t, 10.0 ** (snr_db / 10.0)) for snr_db in snrs_db]
-        for scheme in Scheme:
-            exact = _exact_outages(scheme, swept)
-            if exact is None:
-                continue
-            label, analytic = exact
-            estimates = _paired_estimates(swept, scheme, n_trials, seed, threads)
+        exact = {s: found for s in Scheme if (found := _exact_outages(s, swept)) is not None}
+        estimates = _paired_estimates(swept, dict.fromkeys(exact, n_trials), seed, threads)
+        for scheme, (label, analytic) in exact.items():
             out.extend((label, m_r, m_t, snr_db, value, est)
-                       for snr_db, value, est in zip(snrs_db, analytic, estimates))
+                       for snr_db, value, est in zip(snrs_db, analytic, estimates[scheme]))
     return out
 
 
@@ -573,20 +611,19 @@ def _diversity_slopes(cases) -> list[tuple[float, int]]:
 def _mrc_floor(n_trials: int, seed: int, threads: int) -> list[OutageEstimate]:
     """MRC/MRT then TZF outage of a 3x3 relay at 40 and 50 dB, where the
     MRC/MRT loop-interference floor sits far above the TZF decay."""
+    schemes = (Scheme.MRC_MRT, Scheme.TZF)
     swept = [_fig1_params(3, 3, p_s) for p_s in (1e4, 1e5)]
-    return [
-        est
-        for scheme in (Scheme.MRC_MRT, Scheme.TZF)
-        for est in _paired_estimates(swept, scheme, n_trials, seed, threads)
-    ]
+    estimates = _paired_estimates(swept, dict.fromkeys(schemes, n_trials), seed, threads)
+    return [est for scheme in schemes for est in estimates[scheme]]
 
 
 def _low_snr_outages(n_trials: int, seed: int, threads: int) -> list[OutageEstimate]:
     """MRC/MRT, TZF and RZF outage of a 2x2 relay at 0 dB."""
-    return [
-        estimate_outage(_fig1_params(2, 2, 1.0), scheme, n_trials, seed, threads=threads)
-        for scheme in (Scheme.MRC_MRT, Scheme.TZF, Scheme.RZF)
-    ]
+    schemes = (Scheme.MRC_MRT, Scheme.TZF, Scheme.RZF)
+    estimates = _paired_estimates(
+        [_fig1_params(2, 2, 1.0)], dict.fromkeys(schemes, n_trials), seed, threads
+    )
+    return [estimates[scheme][0] for scheme in schemes]
 
 
 def run_validation(cfg: ExperimentConfig) -> ValidationReport:

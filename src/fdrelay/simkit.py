@@ -23,14 +23,18 @@ and transmit-ZF seeds, whose combiners alone move with alpha), and
 reads, and ``_leading`` is the one rule for which rows of a chunk those are.
 
 An outage sweep over SNR or threshold varies nothing a draw or its gains
-depend on, so it draws and reduces each scheme's trials once per sweep:
-``_held_gains`` builds the scheme's gains on ``threads`` workers, each
-drawing its own chunks, and every sweep point is ``estimate_outage`` on
-them.  One scheme's gains are held at a time, for all of its trials, so
-the held memory grows linearly with the trial count: 32 B per trial for a
-full-duplex closed-form scheme, 24 B for half duplex, while the optimal
-scheme's gains are its draws plus its two seeds (361 B per trial at 2x2,
-777 B at 4x4).
+depend on, so it draws and reduces its trials once per sweep:
+``_held_gains`` builds the gains of a group of schemes on ``threads``
+workers, each drawing its own chunks once for every member, and every
+sweep point is ``estimate_outage`` on them.  The sweep holds one group's
+gains at a time, for all of its trials, so the held memory grows linearly
+with the trial count.  Members hold the arrays they have in common as one
+object, and half duplex's zero leak takes no memory: MRC/MRT with transmit
+ZF hold 48 B per trial (480 MB at 10 million trials), receive ZF with half
+duplex 40 B, and the optimal scheme, alone, its draws plus its two seeds
+(361 B per trial at 2x2, 777 B at 4x4).  ``experiment._DRAW_GROUPS`` sets
+the groups, two schemes each because the memory held, not the draw, is
+what bounds them.
 
 The harvesting split is optimized by one search (grid plus golden-section
 refinement), written once as ``_alpha_search``.  The kernel
@@ -130,7 +134,7 @@ def _chunk_gains(
     For a closed-form scheme these are the four gains of its beamformers
     (``sinr._fd_gains_batch``), for half duplex the same four gains of the
     loop-free matched pair at twice the relay power
-    (``sinr._hd_gains_batch``: S, S, zeros, 2 ||h_rd||^2).
+    (``sinr._hd_gains_batch``: S, S, a zero leak, 2 ||h_rd||^2).
     The optimal search solves its beamformers at each kappa(alpha), so its
     are the draws followed by ``precoding._optimal_seed_gains``: S, the loop
     direction and where it vanishes, and the matched and transmit-ZF seed
@@ -160,23 +164,48 @@ def _trial_gains(
 
 
 def _held_gains(
-    params: SystemParams, scheme: Scheme, n_trials: int, seed: int, *, threads: int
-) -> list[tuple[np.ndarray, ...]]:
-    """``_trial_gains`` of every chunk of trials 0 .. n_trials - 1 of ``seed``.
+    params: SystemParams,
+    schemes: Sequence[Scheme],
+    n_trials: int,
+    seed: int,
+    *,
+    threads: int,
+) -> list[list[tuple[np.ndarray, ...]]]:
+    """``_trial_gains`` of every chunk of trials 0 .. n_trials - 1 of ``seed``,
+    for each of ``schemes``, from one draw of each chunk.
 
-    The list is the ``gains`` of ``estimate_outage``: a sweep builds it once
-    per scheme and scores each of its points on it.  ``threads`` workers
-    each draw and reduce their own chunks.  It grows linearly with
-    ``n_trials``: 32 B per trial for a full-duplex closed-form scheme, 24 B
-    for half duplex (whose two S gains are one array), and for the optimal
-    scheme its draws and seeds (361 B per trial at 2x2, 777 B at 4x4).
+    Item k is the ``gains`` of ``estimate_outage`` for ``schemes[k]``: a
+    sweep builds them once per group of schemes and scores each of its
+    points on them.  ``threads`` workers each draw their own chunks and
+    reduce them for every member.  An array that members compute with the
+    same expression from the same draws has the same bits, so it is held
+    once: S = ||h_sr||^2 for every closed-form scheme and half duplex (whose
+    first two gains are both S), and the matched combiner's gain
+    |w_r h_sr|^2 for MRC/MRT and transmit ZF.  Per trial that is 32 B for
+    one full-duplex closed-form scheme, 16 B for half duplex alone, 48 B for
+    MRC/MRT with transmit ZF and 40 B for receive ZF with half duplex; the
+    optimal scheme holds its draws and seeds (361 B per trial at 2x2, 777 B
+    at 4x4).
     """
-    return _map_chunks(
-        lambda chunk_idx: _trial_gains(
-            scheme, _chunk_channels(params, seed, chunk_idx), n_trials, chunk_idx
-        ),
-        -(-n_trials // _CHUNK), threads,
-    )
+    def chunk_gains(chunk_idx: int) -> list[tuple[np.ndarray, ...]]:
+        draws = _chunk_channels(params, seed, chunk_idx)
+        shared: dict[str, np.ndarray] = {}
+        members = []
+        for scheme in schemes:
+            gains = _trial_gains(scheme, draws, n_trials, chunk_idx)
+            if scheme is not Scheme.OPTIMAL:
+                s, sig, leak, rd = gains
+                s = shared.setdefault("s", s)
+                if scheme is Scheme.HALF_DUPLEX:
+                    sig = s
+                elif scheme is not Scheme.RZF:
+                    sig = shared.setdefault("matched", sig)
+                gains = (s, sig, leak, rd)
+            members.append(gains)
+        return members
+
+    chunks = _map_chunks(chunk_gains, -(-n_trials // _CHUNK), threads)
+    return [list(gains) for gains in zip(*chunks)]
 
 
 def _map_chunks(work: Callable[[int], _T], n_chunks: int, threads: int) -> list[_T]:

@@ -76,9 +76,10 @@ def _fd_hops_from_gains(
     d1t = params.d1**params.tau
     d2t = params.d2**params.tau
     kps = params.kappa * params.p_s
-    li = kps * s * leak
     # A zero leak (half duplex) is no loop however large kappa p_s S is; an
-    # overflowed kps * s would otherwise make it inf * 0 = nan.
+    # overflowed kps * s makes it inf * 0 = nan, which the next line replaces.
+    with np.errstate(invalid="ignore"):
+        li = kps * s * leak
     li[leak == 0] = 0.0
     first = params.p_s * sig / (li + d1t)
     second = kps / (d1t * d2t) * s * rd
@@ -95,10 +96,11 @@ def _hd_gains_batch(
     and there is no loop interference: the matched pair with no leakage and
     twice the relay-destination gain, (S, S, 0, 2 ||h_rd||^2).  The hops
     then give gamma = ||h_sr||^2 * min(c1, 2 c3 ||h_rd||^2), with
-    c1 = p_s / d1^tau and c3 = p_s kappa / (d1^tau d2^tau).
+    c1 = p_s / d1^tau and c3 = p_s kappa / (d1^tau d2^tau).  The two S are
+    one array, and the zero leak is a read-only zero-stride view.
     """
     s = np.sum(np.abs(hsr) ** 2, axis=1)
-    return s, s, np.zeros_like(s), 2.0 * np.sum(np.abs(hrd) ** 2, axis=1)
+    return s, s, np.broadcast_to(0.0, s.shape), 2.0 * np.sum(np.abs(hrd) ** 2, axis=1)
 
 
 def e2e_sinr(

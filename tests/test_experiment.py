@@ -1,22 +1,26 @@
 """Experiment runner: config round-trips, sweep shapes, CLI exit codes."""
 
 import csv
+import itertools
 import json
 import math
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from fdrelay import simkit
+from fdrelay import experiment, simkit
 from fdrelay.cli import main as cli_main
 from fdrelay.errors import ConfigError
 from fdrelay.experiment import (
     ExperimentConfig,
     _fig1_params,
+    _is_feasible,
     _mc_vs_exact,
     _mrc_floor,
+    _paired_estimates,
     run_outage_sweep,
     run_throughput_sweep,
     run_validation,
@@ -137,6 +141,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="outputs"):
             replace(cfg, outputs=("monte_carlo", "monte_carlo"))
 
+    @pytest.mark.parametrize("name, value", [
+        ("output_path", None), ("output_path", 5),
+        ("schemes", "tzf"), ("outputs", "monte_carlo"),
+    ])
+    def test_wrongly_typed_path_or_list_is_rejected(self, name, value):
+        # Not the path "None", and not the schemes "t", "z", "f".
+        with pytest.raises(ConfigError, match=f"{name} must be a"):
+            base_config(**{name: value})
+
     def test_trials_for_optimal_scheme(self):
         cfg = base_config(n_trials=200_000)
         assert cfg.trials_for(Scheme.TZF) == 200_000
@@ -255,10 +268,11 @@ class TestOutageSweep:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("axis", ["snr_db", "threshold_db"])
     def test_each_chunk_is_drawn_once_per_scheme(self, monkeypatch, threads, axis):
-        # However many points a sweep has, each feasible scheme draws the
-        # chunks of its trial count once: 9000 trials read chunks 0 and 1,
-        # the optimal scheme's 2000 read chunk 0, and transmit ZF is
-        # infeasible at (2, 1).  Analytic lines draw nothing.
+        # However many points a sweep has, each draw group with a feasible
+        # member draws the chunks of its trial count once: MRC/MRT (transmit
+        # ZF is infeasible at (2, 1)) and receive ZF with half duplex read
+        # chunks 0 and 1 of their 9000 trials, the optimal scheme chunk 0 of
+        # its 2000.  Analytic lines draw nothing.
         draws = Counter()
         original = simkit._chunk_channels
 
@@ -268,7 +282,7 @@ class TestOutageSweep:
 
         monkeypatch.setattr(simkit, "_chunk_channels", counted)
         for values in ([6.0], [-3.0, 0.0, 3.0]):
-            for outputs, want in ((["monte_carlo", "analytic"], {0: 4, 1: 3}),
+            for outputs, want in ((["monte_carlo", "analytic"], {0: 3, 1: 2}),
                                   (["analytic", "asymptotic"], {})):
                 draws.clear()
                 run_outage_sweep(base_config(
@@ -278,6 +292,41 @@ class TestOutageSweep:
                     outputs=outputs, threads=threads,
                 ))
                 assert draws == want
+
+
+class TestPairedEstimates:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("m_r, m_t", [(1, 2), (2, 1), (2, 2), (3, 3)])
+    def test_every_feasible_subset_gives_the_plain_estimates(self, m_r, m_t, threads):
+        # Whichever members a draw group holds, each scheme's estimates are
+        # the ones it draws alone; infeasible schemes get none.
+        closed_form = (Scheme.TZF, Scheme.RZF, Scheme.MRC_MRT, Scheme.HALF_DUPLEX)
+        points = [_fig1_params(m_r, m_t, p_s) for p_s in (1.0, 10.0)]
+        feasible = [s for s in closed_form if _is_feasible(s, m_r, m_t)]
+        plain = {s: [estimate_outage(p, s, 9000, 6) for p in points] for s in feasible}
+        for k in range(1, len(feasible) + 1):
+            for subset in itertools.combinations(feasible, k):
+                got = _paired_estimates(points, dict.fromkeys(subset, 9000), 6, threads)
+                assert got == {s: plain[s] for s in subset}, subset
+        every = _paired_estimates(points, dict.fromkeys(closed_form, 9000), 6, threads)
+        assert every == plain
+
+    def test_each_groups_gains_are_freed_before_the_next_are_built(self, monkeypatch):
+        # Only one group's gains may be held at a time: that is what bounds
+        # an outage sweep's memory.
+        held_before = []
+        original = experiment._held_gains
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in held_before)
+            held = original(*args, **kwargs)
+            held_before.extend(weakref.ref(chunk[0]) for member in held for chunk in member)
+            return held
+
+        monkeypatch.setattr(experiment, "_held_gains", tracked)
+        closed_form = (Scheme.TZF, Scheme.RZF, Scheme.MRC_MRT, Scheme.HALF_DUPLEX)
+        _paired_estimates([_fig1_params(2, 2, 10.0)], dict.fromkeys(closed_form, 9000), 6, 1)
+        assert len(held_before) == 2 * 2 * 2  # two groups, two members, two chunks
 
 
 class TestCheckTable:

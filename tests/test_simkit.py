@@ -32,6 +32,7 @@ from fdrelay.simkit import (
     _search_alpha_batch,
     _sinr_batch,
     _sinr_from_gains,
+    _trial_gains,
     params_at_alpha,
 )
 from fdrelay.sinr import _fd_gains_batch, _fd_hops_from_gains
@@ -147,7 +148,7 @@ class TestEstimateOutage:
             estimate_outage(params, Scheme.TZF, 10, 8, gains=[])
         # Enough chunks, but the last holds 808 of the 1 308 rows needed.
         params = make_params(2, 2)
-        held = _held_gains(params, Scheme.TZF, 9000, 3, threads=1)
+        (held,) = _held_gains(params, [Scheme.TZF], 9000, 3, threads=1)
         assert [len(chunk[0]) for chunk in held] == [_CHUNK, 808]
         with pytest.raises(ValueError, match="gains"):
             estimate_outage(params, Scheme.TZF, 9500, 3, gains=held)
@@ -278,6 +279,26 @@ class TestSplitKernel:
             for keep in (1, 517, _CHUNK - 1):
                 lead = _chunk_gains(scheme, *(x[:keep] for x in draws))
                 assert all(np.array_equal(f[:keep], g) for f, g in zip(full, lead))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_held_group_shares_arrays_and_keeps_each_members_bits(self, threads):
+        # All four closed-form schemes in one group, so every sharing rule
+        # meets every other: one S, one matched combiner gain for MRC/MRT and
+        # transmit ZF, half duplex's S twice and its zero leak on stride 0.
+        params = make_params(3, 3)
+        schemes = [Scheme.TZF, Scheme.RZF, Scheme.MRC_MRT, Scheme.HALF_DUPLEX]
+        held = _held_gains(params, schemes, 9000, 3, threads=threads)
+        assert [len(member) for member in held] == [2, 2, 2, 2]
+        for j, chunk in enumerate(zip(*held)):
+            draws = _chunk_channels(params, 3, j)
+            for scheme, gains in zip(schemes, chunk):
+                want = _trial_gains(scheme, draws, 9000, j)
+                assert all(np.array_equal(g, w) for g, w in zip(gains, want)), scheme
+            tz, rz, mrc, hd = chunk
+            assert all(gains[0] is tz[0] for gains in chunk)
+            assert mrc[1] is tz[1] and hd[1] is hd[0]
+            assert rz[1] is not tz[1]
+            assert hd[2].strides == (0,) and len(hd[2]) == len(hd[0])
 
 
 class TestHeldSeeds:

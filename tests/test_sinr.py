@@ -127,6 +127,7 @@ class TestHalfDuplex:
             params.p_s / params.d1**params.tau * gain, rel=1e-12
         )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_relay_gain_is_no_loop(self):
         # kappa p_s = 9e308 overflows, so the second hop is infinite and a
         # zero leak times the infinite kappa p_s S must not make a nan.
